@@ -18,16 +18,17 @@ import numpy as np
 from .gabor import (
     TfLattice,
     Window,
+    _adjoint_coefficients,
     adjoint_lattice,
     frame_operator,
     indicator_window,
-    tf_shift_plane,
 )
 from .groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
     annihilator,
+    coords_matrix,
     enumerate_subgroup,
     parse_group_spec,
 )
@@ -49,15 +50,12 @@ class PlaceSet:
     """Finite sorted set of primes S; everything outside S stays integral."""
 
     primes: tuple[int, ...]
-    all_other_places_integral: bool = True
 
     def __post_init__(self):
         primes = tuple(sorted(certify_prime(p) for p in self.primes))
         if len(set(primes)) != len(primes):
             raise ValueError(f"duplicate primes in place set {self.primes!r}")
         object.__setattr__(self, "primes", primes)
-        if not self.all_other_places_integral:
-            raise ValueError("this model always keeps unlisted places integral")
 
     def __contains__(self, p: int) -> bool:
         return p in self.primes
@@ -393,7 +391,6 @@ class LcaGroupDescription:
     kind: str  # "adele" | "local" | "finite"
     n: int
     primes: tuple[int, ...] = ()
-    finite_orders: tuple[int, ...] = ()
 
     @property
     def real_dimension(self) -> int:
@@ -408,8 +405,8 @@ def parse_lca_group_spec(text: str) -> LcaGroupDescription:
     body = text.strip()
     m = _SPEC_RE.match(body)
     if m is None:
-        group = parse_group_spec(body)  # raises ValueError on garbage
-        return LcaGroupDescription("finite", 1, (), group.orders)
+        parse_group_spec(body)  # raises ValueError on garbage
+        return LcaGroupDescription("finite", 1)
     kind = "adele" if m.group(1) == "A_Q" else "local"
     primes: tuple[int, ...] = ()
     n = 1
@@ -421,7 +418,7 @@ def parse_lca_group_spec(text: str) -> LcaGroupDescription:
         key = key.strip()
         value = value.strip()
         if key == "S":
-            primes = tuple(int(v) for v in value.split(",") if v.strip() != "")
+            primes = tuple(certify_prime(int(v)) for v in value.split(",") if v.strip() != "")
         elif key == "n":
             n = int(value)
         else:
@@ -555,16 +552,13 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     vol = delta1.volume
     assert product_lattice.volume == vol
 
-    kappa = float(vol)
     adj = adjoint_lattice(product_lattice)
     k = base.rank
-    product_residual = 0.0
-    for z in adj.elements:
-        base_part_zero = (all(c == 0 for c in z.coords[:k])
-                          and all(c == 0 for c in z.coords[k + 1:2 * k + 1]))
-        target = kappa if base_part_zero else 0.0
-        value = g_t.inner(tf_shift_plane(z, h_t))
-        product_residual = max(product_residual, abs(value - target))
+    coords = coords_matrix(plane.orders)[adj.subgroup.index_array]
+    base_part_zero = ~coords[:, :k].any(axis=1) & ~coords[:, k + 1:2 * k + 1].any(axis=1)
+    target = np.where(base_part_zero, float(vol), 0.0)
+    values = _adjoint_coefficients(g_t, h_t, adj)
+    product_residual = float(np.max(np.abs(values - target)))
     product_ok = product_residual <= tol
 
     return TransferenceResult(base_ok, base_residual, product_ok, product_residual, vol)
@@ -573,7 +567,10 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
 # --- automorphism documents ---------------------------------------------------
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text.strip()!r}") from None
 
 
 def _parse_matrix_literal(text: str) -> RationalMatrix:

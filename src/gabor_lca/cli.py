@@ -58,7 +58,7 @@ def parse_window_literal(group: FiniteLcaGroup, text: str) -> gabor.Window:
                 np.kron(win.values, factor.values))
         return win
     if body.startswith("values="):
-        pairs = parse_coord_tuples(body[len("values="):])
+        pairs = parse_coord_tuples(body[len("values="):], float)
         vals = []
         for p in pairs:
             if len(p) != 2:
@@ -145,7 +145,8 @@ def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVec
     """'diag=(5/2,1)' or 'inf=(5/2); 2=(5/2); 3=(1/3,...)'."""
     body = text.strip()
     if body.startswith("diag="):
-        values = [Fraction(v) for v in body[len("diag="):].strip().strip("()").split(",")]
+        values = [adeles._parse_rational(v)
+                  for v in body[len("diag="):].strip().strip("()").split(",")]
         return adeles.AdeleVector.diagonal(place_set, values)
     inf = None
     comps = {}
@@ -155,7 +156,7 @@ def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVec
         if not item:
             continue
         key, _, value = item.partition("=")
-        vec = [Fraction(v) for v in value.strip().strip("()").split(",")]
+        vec = [adeles._parse_rational(v) for v in value.strip().strip("()").split(",")]
         key = key.strip()
         if key == "inf":
             inf = vec
@@ -259,7 +260,7 @@ def _cmd_s0_norm(args) -> int:
 
 
 def _cmd_padic_abs(args) -> int:
-    value = padic.padic_abs(Fraction(args.rational), args.prime)
+    value = padic.padic_abs(adeles._parse_rational(args.rational), args.prime)
     print(str(value))
     return 0
 

@@ -14,13 +14,13 @@ import numpy as np
 from .gabor import (
     TfLattice,
     Window,
+    _adjoint_coefficients,
     adjoint_lattice,
     frame_bounds,
     frame_operator,
     janssen_operator,
     random_window,
     s0_norm,
-    tf_shift_plane,
 )
 from .groups import (
     FiniteLcaGroup,
@@ -112,12 +112,9 @@ def window_stability_sweep(g: Window, delta: TfLattice,
         S_pert = frame_operator(perturbed, perturbed, delta)
         measured = float(np.linalg.norm(S_pert - S_base, 2))
         diff = perturbed - g
-        bound = 0.0
-        for z in adj.elements:
-            c1 = diff.inner(tf_shift_plane(z, perturbed))
-            c2 = g.inner(tf_shift_plane(z, diff))
-            bound += abs(c1 + c2)
-        bound *= inv_vol
+        coeffs = (_adjoint_coefficients(diff, perturbed, adj)
+                  + _adjoint_coefficients(g, diff, adj))
+        bound = float(np.abs(coeffs).sum()) * inv_vol
         bound_ok = bound_ok and measured <= bound + 1e-10
         rows.append((float(eps), report.lower, report.upper,
                      report.is_frame, measured, bound))
@@ -216,6 +213,8 @@ def density_exhaustive(group: FiniteLcaGroup, windows_per_lattice: int = 20,
     """
     if group.cardinality > 16:
         raise ValueError("exhaustive density scan is limited to |G| <= 16")
+    if windows_per_lattice < 1:
+        raise ValueError(f"need at least one window per lattice, got {windows_per_lattice}")
     rng = np.random.default_rng(seed)
     plane = group.plane()
     rows = []

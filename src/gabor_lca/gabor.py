@@ -201,10 +201,6 @@ class TfLattice:
         return cls(base, enumerate_subgroup(plane, gens))
 
     @classmethod
-    def from_subgroup(cls, base: FiniteLcaGroup, sub: Subgroup) -> "TfLattice":
-        return cls(base, sub)
-
-    @classmethod
     def time_axis(cls, base: FiniteLcaGroup) -> "TfLattice":
         zeros = (0,) * base.rank
         gens = []
@@ -293,13 +289,15 @@ def commutation_defect(z: GroupElement, w: GroupElement) -> complex:
 def adjoint_lattice(delta: TfLattice) -> TfLattice:
     """Adjoint lattice: plane points whose shifts commute with all of Delta.
 
+    The commutation form is a bicharacter, so a point commutes with all of
+    Delta exactly when it commutes with each generator; only those are tested.
     Exact integer arithmetic; |Delta| * |adjoint| = |G|^2 and the volumes are
     reciprocal.
     """
     base = delta.base_group
     plane = base.plane()
     C = coords_matrix(plane.orders)
-    S = C[delta.subgroup.index_array]
+    S = C[np.array([z.index for z in delta.subgroup.generators], dtype=np.int64)]
     k = base.rank
     N = base.exponent
     scale = np.array([N // n for n in base.orders], dtype=np.int64)
@@ -317,6 +315,11 @@ def _system_columns(g: Window, delta: TfLattice) -> np.ndarray:
     SUB = sub_index_table(g.group.orders)
     x_idx, w_idx = delta.x_indices, delta.w_indices
     return CHI[w_idx, :].T * g.values[SUB[:, x_idx]]
+
+
+def _adjoint_coefficients(g: Window, h: Window, adj: TfLattice) -> np.ndarray:
+    """<g, pi(z) h> for every z of the lattice, in its element order."""
+    return float(g.group.weight) * (_system_columns(h, adj).conj().T @ g.values)
 
 
 def _check_system(g: Window, delta: TfLattice) -> None:
@@ -377,13 +380,10 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
     adj = adjoint if adjoint is not None else adjoint_lattice(delta)
     CHI = char_table(grp.orders)
     ADD = add_index_table(grp.orders)
-    SUB = sub_index_table(grp.orders)
-    w = float(grp.weight)
+    coeffs = _adjoint_coefficients(h, g, adj)
     cols = np.arange(card)
     J = np.zeros((card, card), dtype=np.complex128)
-    for x_idx, w_idx in zip(adj.x_indices, adj.w_indices):
-        shifted_g = CHI[w_idx, :] * g.values[SUB[:, x_idx]]
-        c = w * complex(np.conj(shifted_g) @ h.values)
+    for x_idx, w_idx, c in zip(adj.x_indices, adj.w_indices, coeffs):
         rows = ADD[cols, x_idx]
         J[rows, cols] += c * CHI[w_idx, rows]
     J *= 1.0 / float(delta.volume)
@@ -408,15 +408,21 @@ class FrameReport:
         return cls(lower, upper, is_frame, condition)
 
 
+def _hermitian_frame_operator(g: Window, delta: TfLattice,
+                              tol_ratio: float) -> tuple[np.ndarray, FrameReport]:
+    """The symmetrized frame operator of g and the report of its spectrum."""
+    S = frame_operator(g, g, delta)
+    S = 0.5 * (S + S.conj().T)
+    eigs = np.linalg.eigvalsh(S)
+    return S, FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), tol_ratio)
+
+
 def frame_bounds(g: Window, delta: TfLattice,
                  tol_ratio: float = FRAME_TOLERANCE_RATIO) -> FrameReport:
     """Optimal frame bounds = extreme eigenvalues of the frame operator."""
     if g.is_zero():
         raise ValueError("frame bounds of the zero window")
-    S = frame_operator(g, g, delta)
-    S = 0.5 * (S + S.conj().T)
-    eigs = np.linalg.eigvalsh(S)
-    return FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), tol_ratio)
+    return _hermitian_frame_operator(g, delta, tol_ratio)[1]
 
 
 @dataclass(frozen=True)
@@ -441,21 +447,15 @@ def wexler_raz_check(g: Window, h: Window, delta: TfLattice,
     _check_system(g, delta)
     kappa = float(delta.volume)
     adj = adjoint if adjoint is not None else adjoint_lattice(delta)
-    residual = 0.0
-    for z in adj.elements:
-        target = kappa if z.is_zero() else 0.0
-        value = g.inner(tf_shift_plane(z, h))
-        residual = max(residual, abs(value - target))
+    target = np.where(adj.subgroup.index_array == 0, kappa, 0.0)
+    residual = float(np.max(np.abs(_adjoint_coefficients(g, h, adj) - target)))
     return WexlerRazResult(residual <= tol, residual, kappa)
 
 
 def canonical_dual(g: Window, delta: TfLattice,
                    tol_ratio: float = FRAME_TOLERANCE_RATIO) -> Window:
     """h = S^{-1} g; the frame-type operator S_{g,h} is then the identity."""
-    S = frame_operator(g, g, delta)
-    S = 0.5 * (S + S.conj().T)
-    eigs = np.linalg.eigvalsh(S)
-    report = FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), tol_ratio)
+    S, report = _hermitian_frame_operator(g, delta, tol_ratio)
     if not report.is_frame:
         raise NotAFrameError(
             f"system is not a frame (bounds {report.lower:.3e}, {report.upper:.3e})")

@@ -271,6 +271,11 @@ class Subgroup:
 
     Equality and hashing use the element list only, so two subgroups given by
     different generating sets compare equal exactly when they coincide.
+
+    ``generators`` always generates ``elements``: ``enumerate_subgroup``
+    closes the given generators and ``from_elements`` recovers a generating
+    set from a closed list.  ``annihilator`` and ``adjoint_lattice`` test
+    membership against the generators only, so they rely on this.
     """
 
     group: FiniteLcaGroup
@@ -379,7 +384,9 @@ def full_subgroup(group: FiniteLcaGroup) -> Subgroup:
 def annihilator(sub: Subgroup) -> Subgroup:
     """Characters of the ambient group trivial on ``sub``, inside the dual group.
 
-    Exact integer arithmetic throughout; |sub| * |annihilator| = |G| always.
+    The pairing is a bicharacter, so a character is trivial on ``sub`` exactly
+    when it is trivial on each generator; only those are tested.  Exact
+    integer arithmetic throughout; |sub| * |annihilator| = |G| always.
     """
     group = sub.group
     dual = group.dual()
@@ -387,15 +394,10 @@ def annihilator(sub: Subgroup) -> Subgroup:
     N = group.exponent
     C = coords_matrix(orders)
     scale = np.array([N // n for n in orders], dtype=np.int64)
-    Csub = (C[sub.index_array] * scale).T  # (k, m)
-    hits: list[int] = []
-    chunk = 512
-    for start in range(0, group.cardinality, chunk):
-        block = C[start:start + chunk]
-        E = block @ Csub % N
-        good = np.nonzero(~E.any(axis=1))[0]
-        hits.extend(int(start + i) for i in good)
-    elems = tuple(dual.element_by_index(i) for i in hits)
+    gens = np.array([g.index for g in sub.generators], dtype=np.int64)
+    E = C @ (C[gens] * scale).T % N  # (|G|, number of generators)
+    hits = np.nonzero(~E.any(axis=1))[0]
+    elems = tuple(dual.element_by_index(int(i)) for i in hits)
     return Subgroup.from_elements(dual, elems)
 
 
@@ -467,12 +469,12 @@ def parse_group_spec(text: str) -> FiniteLcaGroup:
     return FiniteLcaGroup(tuple(orders))
 
 
-def format_group_spec(group: FiniteLcaGroup) -> str:
-    return str(group)
+def parse_coord_tuples(text: str, cast=int) -> list[tuple]:
+    """Parse '(2,0),(0,2)' (or bare '2,3' for rank-1 groups) into tuples.
 
-
-def parse_coord_tuples(text: str) -> list[tuple[int, ...]]:
-    """Parse '(2,0),(0,2)' (or bare '2,3' for rank-1 groups) into tuples."""
+    Entries are read with ``cast``: integer coordinates by default, ``float``
+    for the (re,im) pairs of window values.
+    """
     body = text.strip()
     if body.startswith("gens="):
         body = body[len("gens="):]
@@ -481,11 +483,11 @@ def parse_coord_tuples(text: str) -> list[tuple[int, ...]]:
         out = []
         for t in tuples:
             items = [s for s in t.split(",") if s.strip() != ""]
-            out.append(tuple(int(s) for s in items))
+            out.append(tuple(cast(s) for s in items))
         return out
     if body == "":
         return []
-    return [(int(s),) for s in body.split(",")]
+    return [(cast(s),) for s in body.split(",")]
 
 
 def parse_subgroup_spec(group: FiniteLcaGroup, text: str) -> Subgroup:

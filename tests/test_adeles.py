@@ -18,13 +18,38 @@ from gabor_lca.adeles import (
     format_automorphism_document,
     parse_automorphism_document,
 )
+from gabor_lca.experiments import random_plane_lattice
 from gabor_lca.gabor import TfLattice, Window
-from gabor_lca.groups import FiniteLcaGroup
+from gabor_lca.groups import FiniteLcaGroup, Subgroup
 from gabor_lca.padic import RationalMatrix
 
 
 def rmat(rows):
     return RationalMatrix.from_rows(rows)
+
+
+def product_residual_by_shifts(g, h, delta1, M, d):
+    """Oracle for the product side of the transference check: the product
+    lattice built point by point and <g~, pi(z) h~> one shifted window at a
+    time across its adjoint."""
+    base = g.group
+    k = base.rank
+    H, K, K_perp = compact_open_surrogate(M, d)
+    one_k = gl.indicator_window(K)
+    product = FiniteLcaGroup(base.orders + H.orders, base.weight * H.weight)
+    g_t = Window(product, np.kron(g.values, one_k.values))
+    h_t = Window(product, np.kron(h.values, one_k.values))
+    plane = product.plane()
+    elems = [plane.element(z1.coords[:k] + x2.coords + z1.coords[k:] + w2.coords)
+             for z1 in delta1.elements for x2 in K.elements for w2 in K_perp.elements]
+    lattice = TfLattice(product, Subgroup.from_elements(plane, elems))
+    kappa = float(delta1.volume)
+    residual = 0.0
+    for z in gl.adjoint_lattice(lattice).elements:
+        base_zero = not any(z.coords[:k]) and not any(z.coords[k + 1:2 * k + 1])
+        target = kappa if base_zero else 0.0
+        residual = max(residual, abs(g_t.inner(gl.tf_shift_plane(z, h_t)) - target))
+    return residual
 
 
 def scalar_auto(place_set, inf, **finite):
@@ -361,6 +386,22 @@ class TestTransference:
         g, ta = gl.standard_onb(G)
         result = finite_transference_check(g, g, ta, 8, 4)
         assert result.volume == ta.volume == 1
+
+    def test_product_residual_matches_shift_oracle(self):
+        rng = np.random.default_rng(31)
+        for orders in [(2,), (3,), (4,), (2, 2)]:
+            G = FiniteLcaGroup(orders)
+            for delta in (TfLattice.time_axis(G), TfLattice.full_plane(G),
+                          random_plane_lattice(G, rng)):
+                g = gl.random_window(G, rng)
+                duals = [gl.random_window(G, rng)]
+                if gl.frame_bounds(g, delta).is_frame:
+                    duals.append(gl.canonical_dual(g, delta))
+                for h in duals:
+                    for M, d in [(4, 2), (6, 3), (3, 1)]:
+                        result = finite_transference_check(g, h, delta, M, d)
+                        oracle = product_residual_by_shifts(g, h, delta, M, d)
+                        assert abs(result.product_residual - oracle) <= 1e-12
 
 
 class TestAutomorphismDocuments:

@@ -223,3 +223,58 @@ class TestSweepCommands:
         assert code == 0
         payload = json.loads(out.strip())
         assert payload["assertions"]["no_frame_above_volume_one"] is True
+
+
+class TestRefusedInputs:
+    """Malformed input exits 2 with an ``error:`` line and no traceback."""
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
+
+    def test_zero_denominator_rational(self, capsys):
+        self.assert_refused(capsys, "padic-abs", "1/0", "2")
+
+    def test_zero_denominator_in_automorphism_file(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("S = 2\nAinf = [[1/0]]\n", encoding="utf-8")
+        self.assert_refused(capsys, "adele-vol", "--file", str(path))
+
+    def test_zero_denominator_in_adele_vector(self, capsys, tmp_path):
+        path = tmp_path / "auto.txt"
+        path.write_text("S = 3\nAinf = [[3]]\n", encoding="utf-8")
+        self.assert_refused(capsys, "adele-member", "--file", str(path),
+                            "--vector", "diag=(1/0)")
+
+    def test_non_prime_place(self, capsys):
+        self.assert_refused(capsys, "blt-classify", "A_Q{S=4;n=1}")
+        self.assert_refused(capsys, "blt-classify", "Q_S{S=2,9; n=1}")
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_window_count_below_one(self, capsys, count):
+        self.assert_refused(capsys, "density-exhaust", "--group", "Z2",
+                            "--windows", count, "--format", "json")
+
+
+class TestWindowLiteral:
+    def test_real_valued_pairs(self, capsys):
+        code, payload = run_json(capsys, "frame-bounds", "--group", "Z2",
+                                 "--window", "values=(0.5,0),(1,0)",
+                                 "--lattice", "time-axis")
+        assert code == 0
+        # time-axis frame bounds are the extreme values of |g^|^2 = |0.5 +- 1|^2
+        assert payload["lower"] == pytest.approx(0.25)
+        assert payload["upper"] == pytest.approx(2.25)
+
+    def test_values_parsed_exactly(self):
+        group = FiniteLcaGroup((3,))
+        win = cli.parse_window_literal(group, "values=(0.5,0),(1,-2.5e-1),( -3 , 1 )")
+        assert list(win.values) == [0.5, 1 - 0.25j, -3 + 1j]
+
+    @pytest.mark.parametrize("literal", ["values=(1,0,0),(1,0)", "values=1,0", "values=(a,0),(1,0)"])
+    def test_malformed_pairs_refused(self, capsys, literal):
+        code, _, err = run(capsys, "frame-bounds", "--group", "Z2",
+                           "--window", literal, "--lattice", "time-axis")
+        assert code == 2 and err.startswith("error:")

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import gabor_lca as gl
+from gabor_lca.experiments import seeded_frame_instances, seeded_janssen_instances
 from gabor_lca.gabor import (
     NotAFrameError,
     TfLattice,
     Window,
     WindowNotOnbError,
+    _adjoint_coefficients,
     _system_columns,
 )
-from gabor_lca.groups import FiniteLcaGroup, GroupShapeError
+from gabor_lca.groups import FiniteLcaGroup, GroupShapeError, Subgroup, coords_matrix
 
 
 def rng_for(seed=0):
@@ -25,6 +27,37 @@ def Z(n, *rest):
 
 def identity_defect(S):
     return float(np.max(np.abs(S - np.eye(S.shape[0]))))
+
+
+def adjoint_full_scan(delta):
+    """Oracle: every plane point tested against every element of Delta."""
+    base = delta.base_group
+    plane = base.plane()
+    C = coords_matrix(plane.orders)
+    S = C[delta.subgroup.index_array]
+    k = base.rank
+    N = base.exponent
+    scale = np.array([N // n for n in base.orders], dtype=np.int64)
+    X, W = C[:, :k], C[:, k:]
+    Y, T = S[:, :k], S[:, k:]
+    E = (X @ (T * scale).T - W @ (Y * scale).T) % N
+    hits = np.nonzero(~E.any(axis=1))[0]
+    elems = [plane.element_by_index(int(i)) for i in hits]
+    return TfLattice(base, Subgroup.from_elements(plane, elems))
+
+
+def coefficients_by_shifts(g, h, adj):
+    """Oracle: <g, pi(z) h> one shifted window at a time."""
+    return np.array([g.inner(gl.tf_shift_plane(z, h)) for z in adj.elements])
+
+
+def wexler_raz_residual_by_shifts(g, h, delta):
+    kappa = float(delta.volume)
+    residual = 0.0
+    for z in gl.adjoint_lattice(delta).elements:
+        target = kappa if z.is_zero() else 0.0
+        residual = max(residual, abs(g.inner(gl.tf_shift_plane(z, h)) - target))
+    return residual
 
 
 class TestWindowsAndFourier:
@@ -150,6 +183,15 @@ class TestAdjointLattice:
             assert delta.order * adj.order == 36
             assert gl.adjoint_lattice(adj).subgroup == delta.subgroup
             assert adj.volume == 1 / delta.volume
+
+    @pytest.mark.parametrize("orders", [(4,), (6,), (2, 2)])
+    def test_generator_scan_matches_full_scan(self, orders):
+        G = FiniteLcaGroup(orders)
+        for sub in gl.all_subgroups(G.plane()):
+            delta = TfLattice(G, sub)
+            fast = gl.adjoint_lattice(delta).subgroup
+            slow = adjoint_full_scan(delta).subgroup
+            assert [z.coords for z in fast.elements] == [z.coords for z in slow.elements]
 
 
 class TestStftAndS0:
@@ -400,6 +442,35 @@ class TestWexlerRaz:
             if gl.frame_bounds(g, delta).is_frame:
                 hd = gl.canonical_dual(g, delta)
                 assert gl.wexler_raz_check(g, hd, delta).holds
+
+
+    def test_residual_matches_shift_oracle(self):
+        for g, h, delta in seeded_janssen_instances(20, seed=21, max_card=24):
+            residual = gl.wexler_raz_check(g, h, delta).residual
+            assert abs(residual - wexler_raz_residual_by_shifts(g, h, delta)) <= 1e-12
+        for g, delta in seeded_frame_instances(10, seed=22, max_card=24):
+            h = gl.canonical_dual(g, delta)
+            result = gl.wexler_raz_check(g, h, delta)
+            assert result.holds
+            assert abs(result.residual - wexler_raz_residual_by_shifts(g, h, delta)) <= 1e-12
+
+
+class TestAdjointCoefficients:
+    def test_matches_shift_oracle(self):
+        for g, h, delta in seeded_janssen_instances(20, seed=23, max_card=36):
+            adj = gl.adjoint_lattice(delta)
+            fast = _adjoint_coefficients(g, h, adj)
+            assert fast.shape == (adj.order,)
+            assert np.max(np.abs(fast - coefficients_by_shifts(g, h, adj))) <= 1e-12
+
+    def test_weighted_group(self):
+        G = FiniteLcaGroup((2, 4), Fraction(1, 5))
+        rng = rng_for(24)
+        g, h = gl.random_window(G, rng), gl.random_window(G, rng)
+        delta = TfLattice.from_plane_generators(G, [((1, 0), (0, 2)), ((0, 1), (1, 1))])
+        adj = gl.adjoint_lattice(delta)
+        fast = _adjoint_coefficients(g, h, adj)
+        assert np.max(np.abs(fast - coefficients_by_shifts(g, h, adj))) <= 1e-12
 
 
 class TestCanonicalDual:

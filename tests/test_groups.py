@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
+    coords_matrix,
     parse_coord_tuples,
 )
 
@@ -29,6 +31,31 @@ def naive_closure(group, gens):
                         elems.add(cand.coords)
                         changed = True
     return elems
+
+
+def annihilator_full_scan(sub):
+    """Oracle: every character of G tested against every element of ``sub``."""
+    group = sub.group
+    N = group.exponent
+    C = coords_matrix(group.orders)
+    scale = np.array([N // n for n in group.orders], dtype=np.int64)
+    E = C @ (C[sub.index_array] * scale).T % N
+    hits = np.nonzero(~E.any(axis=1))[0]
+    dual = group.dual()
+    return Subgroup.from_elements(dual, [dual.element_by_index(int(i)) for i in hits])
+
+
+def shapes_up_to(max_card):
+    """Every Z/n_1 x ... x Z/n_k with 2 <= n_1 <= ... <= n_k and |G| <= max_card."""
+    def factorizations(n, least):
+        if n == 1:
+            yield ()
+            return
+        for f in range(least, n + 1):
+            if n % f == 0:
+                for rest in factorizations(n // f, f):
+                    yield (f,) + rest
+    return [(1,)] + [o for n in range(2, max_card + 1) for o in factorizations(n, 2)]
 
 
 small_groups = st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(
@@ -227,6 +254,26 @@ class TestAnnihilator:
             assert H.order * ann.order == G.cardinality
             double = gl.annihilator(ann)
             assert [e.coords for e in double.elements] == [e.coords for e in H.elements]
+
+    def test_generator_scan_matches_full_scan(self):
+        shapes = shapes_up_to(16)
+        assert (2, 2, 2, 2) in shapes and (16,) in shapes
+        for orders in shapes:
+            G = FiniteLcaGroup(orders)
+            for H in gl.all_subgroups(G):
+                fast = gl.annihilator(H)
+                slow = annihilator_full_scan(H)
+                assert fast.group == slow.group == G.dual()
+                assert [e.coords for e in fast.elements] == [e.coords for e in slow.elements]
+
+    def test_redundant_and_empty_generating_sets(self):
+        G = FiniteLcaGroup((2, 6))
+        gens = [G.element((0, 0)), G.element((1, 2)), G.element((1, 2)), G.element((0, 4))]
+        H = gl.enumerate_subgroup(G, gens)
+        assert gl.annihilator(H) == annihilator_full_scan(H)
+        trivial = gl.trivial_subgroup(G)
+        assert trivial.generators == ()
+        assert gl.annihilator(trivial).order == G.cardinality
 
 
 class TestVolumes:
