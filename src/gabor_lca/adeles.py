@@ -19,6 +19,7 @@ from .gabor import (
     TfLattice,
     Window,
     _adjoint_coefficients,
+    _product_lattice,
     adjoint_lattice,
     frame_operator,
     indicator_window,
@@ -530,31 +531,23 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     base = g.group
     if h.group != base or delta1.base_group != base:
         raise GroupShapeError("windows and lattice must share one base group")
-    H, K, K_perp = compact_open_surrogate(M, d)
+    _, K, K_perp = compact_open_surrogate(M, d)
     one_k = indicator_window(K)
 
     S1 = frame_operator(g, h, delta1)
     base_residual = float(np.max(np.abs(S1 - np.eye(base.cardinality))))
     base_ok = base_residual <= tol
 
-    product = FiniteLcaGroup(base.orders + H.orders, base.weight * H.weight)
+    product_lattice = _product_lattice(delta1, TfLattice.separable(K, K_perp))
+    product = product_lattice.base_group
     g_t = Window(product, np.kron(g.values, one_k.values))
     h_t = Window(product, np.kron(h.values, one_k.values))
-
-    plane = product.plane()
-    elems = []
-    for z1 in delta1.elements:
-        x1, w1 = z1.coords[:base.rank], z1.coords[base.rank:]
-        for x2 in K.elements:
-            for w2 in K_perp.elements:
-                elems.append(plane.element(x1 + x2.coords + w1 + w2.coords))
-    product_lattice = TfLattice(product, Subgroup.from_elements(plane, elems))
     vol = delta1.volume
     assert product_lattice.volume == vol
 
     adj = adjoint_lattice(product_lattice)
     k = base.rank
-    coords = coords_matrix(plane.orders)[adj.subgroup.index_array]
+    coords = coords_matrix(adj.subgroup.group.orders)[adj.subgroup.index_array]
     base_part_zero = ~coords[:, :k].any(axis=1) & ~coords[:, k + 1:2 * k + 1].any(axis=1)
     target = np.where(base_part_zero, float(vol), 0.0)
     values = _adjoint_coefficients(g_t, h_t, adj)

@@ -17,6 +17,7 @@ from . import adeles, experiments, gabor, padic, zak as zak_mod
 from .groups import (
     FiniteLcaGroup,
     GroupShapeError,
+    coords_matrix,
     parse_coord_tuples,
     parse_group_spec,
     parse_subgroup_spec,
@@ -94,7 +95,8 @@ def parse_lattice_literal(group: FiniteLcaGroup, text: str) -> gabor.TfLattice:
     Keywords 'time-axis', 'frequency-axis', 'full-plane';
     'separable:gens=(..),(..)' for Lambda x Lambda_perp; or
     'plane-gens=((x),(w));((x),(w))' with ((x-coords),(w-coords)) generators
-    (flat 2k-coordinate tuples are accepted too).
+    (flat 2k-coordinate tuples are accepted too); 'plane-gens=(())' has no
+    generators and is the trivial lattice.
     """
     body = text.strip()
     if body == "time-axis":
@@ -107,7 +109,9 @@ def parse_lattice_literal(group: FiniteLcaGroup, text: str) -> gabor.TfLattice:
         lam = parse_subgroup_spec(group, body[len("separable:"):])
         return gabor.TfLattice.separable(lam)
     if body.startswith("plane-gens="):
-        body = body[len("plane-gens="):]
+        body = body[len("plane-gens="):].strip()
+        if body == "(())":
+            return gabor.TfLattice.from_plane_generators(group, [])
         k = group.rank
         generators = []
         for token in _top_level_groups(body):
@@ -211,42 +215,41 @@ def _cmd_adjoint(args) -> int:
     _emit({"group": str(group), "order": delta.order, "adjoint_order": adj.order,
            "volume": delta.volume, "adjoint_volume": adj.volume,
            "adjoint": format_lattice_literal(adj),
-           "adjoint_elements": [list(z.coords) for z in adj.elements]})
+           "adjoint_elements": coords_matrix(adj.subgroup.group.orders)[
+               adj.subgroup.index_array].tolist()})
     return 0
 
 
-def _cmd_zak(args) -> int:
+def _zak_of_args(args):
+    """The Zak grid named by the arguments, its minimum modulus with an
+    attaining (x, w), and its quasiperiodicity residual."""
     group = parse_group_spec(args.group)
     g = parse_window_literal(group, args.window)
-    lam = parse_subgroup_spec(group, args.subgroup)
-    grid = zak_mod.zak_transform(g, lam)
-    k = group.rank
+    grid = zak_mod.zak_transform(g, parse_subgroup_spec(group, args.subgroup))
+    value, argmin = zak_mod.min_modulus(grid)
+    return grid, value, argmin, zak_mod.quasiperiodicity_residual(grid)
+
+
+def _cmd_zak(args) -> int:
+    grid, value, (x, w), residual = _zak_of_args(args)
+    k = grid.window_group.rank
     cols = [f"x{i}" for i in range(k)] + [f"w{i}" for i in range(k)] + ["re", "im", "modulus"]
     print(",".join(cols))
-    card = group.cardinality
-    for xi in range(card):
-        x = group.element_by_index(xi)
-        for wi in range(card):
-            w = group.dual().element_by_index(wi)
+    coords = [[str(c) for c in row]
+              for row in coords_matrix(grid.window_group.orders).tolist()]
+    for xi, x_cells in enumerate(coords):
+        for wi, w_cells in enumerate(coords):
             v = complex(grid.values[xi, wi])
-            cells = [str(c) for c in x.coords] + [str(c) for c in w.coords]
-            cells += [repr(v.real), repr(v.imag), repr(abs(v))]
-            print(",".join(cells))
-    value, (x, w) = zak_mod.min_modulus(grid)
-    residual = zak_mod.quasiperiodicity_residual(grid)
+            print(",".join(x_cells + w_cells + [repr(v.real), repr(v.imag), repr(abs(v))]))
     print(f"summary,min_modulus={value!r},argmin_x={x},argmin_w={w},"
           f"quasiperiodicity_residual={residual!r}")
     return 0
 
 
 def _cmd_zak_min(args) -> int:
-    group = parse_group_spec(args.group)
-    g = parse_window_literal(group, args.window)
-    lam = parse_subgroup_spec(group, args.subgroup)
-    grid = zak_mod.zak_transform(g, lam)
-    value, (x, w) = zak_mod.min_modulus(grid)
+    _, value, (x, w), residual = _zak_of_args(args)
     _emit({"min_modulus": value, "argmin_x": list(x.coords), "argmin_w": list(w.coords),
-           "quasiperiodicity_residual": zak_mod.quasiperiodicity_residual(grid)})
+           "quasiperiodicity_residual": residual})
     return 0
 
 

@@ -19,14 +19,19 @@ from .groups import (
     GroupElement,
     GroupShapeError,
     Subgroup,
+    _coset_minima,
+    _index_sum,
+    _unit_coords,
     add_index_table,
     annihilator,
     char_table,
     coords_matrix,
     coset_transversal,
     enumerate_subgroup,
+    lattice_volume,
     pairing_exponent,
     sub_index_table,
+    trivial_subgroup,
 )
 
 #: A Gabor system is declared a frame when the lower bound exceeds this
@@ -161,7 +166,7 @@ class TfLattice:
 
     @property
     def volume(self) -> Fraction:
-        return self.base_group.plane().total_mass / self.order
+        return lattice_volume(self.subgroup)
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -169,12 +174,8 @@ class TfLattice:
 
     @cached_property
     def _split_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        base = self.base_group
-        k = base.rank
-        C = coords_matrix(base.plane().orders)[self.subgroup.index_array]
-        strides = np.array(base._strides, dtype=np.int64)
-        x_idx = C[:, :k] @ strides
-        w_idx = C[:, k:] @ strides
+        # plane index = x_index * |G| + w_index under the row-major strides
+        x_idx, w_idx = np.divmod(self.subgroup.index_array, self.base_group.cardinality)
         x_idx.setflags(write=False)
         w_idx.setflags(write=False)
         return x_idx, w_idx
@@ -201,35 +202,28 @@ class TfLattice:
         return cls(base, enumerate_subgroup(plane, gens))
 
     @classmethod
-    def time_axis(cls, base: FiniteLcaGroup) -> "TfLattice":
+    def _unit_shifts(cls, base: FiniteLcaGroup, time: bool, frequency: bool) -> "TfLattice":
+        """Generated by the unit time shifts and/or unit frequency shifts."""
         zeros = (0,) * base.rank
         gens = []
-        for i in range(base.rank):
-            x = [0] * base.rank
-            x[i] = 1
-            gens.append((tuple(x), zeros))
+        for unit in _unit_coords(base.rank):
+            if time:
+                gens.append((unit, zeros))
+            if frequency:
+                gens.append((zeros, unit))
         return cls.from_plane_generators(base, gens)
+
+    @classmethod
+    def time_axis(cls, base: FiniteLcaGroup) -> "TfLattice":
+        return cls._unit_shifts(base, time=True, frequency=False)
 
     @classmethod
     def frequency_axis(cls, base: FiniteLcaGroup) -> "TfLattice":
-        zeros = (0,) * base.rank
-        gens = []
-        for i in range(base.rank):
-            w = [0] * base.rank
-            w[i] = 1
-            gens.append((zeros, tuple(w)))
-        return cls.from_plane_generators(base, gens)
+        return cls._unit_shifts(base, time=False, frequency=True)
 
     @classmethod
     def full_plane(cls, base: FiniteLcaGroup) -> "TfLattice":
-        zeros = (0,) * base.rank
-        gens = []
-        for i in range(base.rank):
-            x = [0] * base.rank
-            x[i] = 1
-            gens.append((tuple(x), zeros))
-            gens.append((zeros, tuple(x)))
-        return cls.from_plane_generators(base, gens)
+        return cls._unit_shifts(base, time=True, frequency=True)
 
     @classmethod
     def separable(cls, lam: Subgroup, dual_part: Subgroup | None = None) -> "TfLattice":
@@ -237,12 +231,10 @@ class TfLattice:
         base = lam.group
         if dual_part is None:
             dual_part = annihilator(lam)
-        plane = base.plane()
-        elems = []
-        for x in lam.elements:
-            for w in dual_part.elements:
-                elems.append(plane.element(x.coords + w.coords))
-        return cls(base, Subgroup.from_elements(plane, elems))
+        if dual_part.group.orders != base.orders:
+            raise GroupShapeError(f"dual-side subgroup of {dual_part.group} does not fit {base}")
+        points = lam.index_array[:, None] * base.cardinality + dual_part.index_array
+        return cls(base, Subgroup.from_indices(base.plane(), points.ravel()))
 
 
 def tf_shift(x: GroupElement, omega: DualElement, f: Window) -> Window:
@@ -304,9 +296,7 @@ def adjoint_lattice(delta: TfLattice) -> TfLattice:
     X, W = C[:, :k], C[:, k:]
     Y, T = S[:, :k], S[:, k:]
     E = (X @ (T * scale).T - W @ (Y * scale).T) % N
-    hits = np.nonzero(~E.any(axis=1))[0]
-    elems = tuple(plane.element_by_index(int(i)) for i in hits)
-    return TfLattice(base, Subgroup.from_elements(plane, elems))
+    return TfLattice(base, Subgroup.from_indices(plane, np.flatnonzero(~E.any(axis=1))))
 
 
 def _system_columns(g: Window, delta: TfLattice) -> np.ndarray:
@@ -493,63 +483,56 @@ def tensor_onb(g1: Window, delta1: TfLattice, g2: Window, delta2: TfLattice,
     _check_system(g2, delta2)
     _require_onb(g1, delta1, tol, "first input")
     _require_onb(g2, delta2, tol, "second input")
-    grp1, grp2 = g1.group, g2.group
+    lattice = _product_lattice(delta1, delta2)
+    return Window(lattice.base_group, np.kron(g1.values, g2.values)), lattice
+
+
+def _product_lattice(delta1: TfLattice, delta2: TfLattice) -> TfLattice:
+    """delta1 x delta2 in the plane of G1 x G2, whose Haar weight is the product.
+
+    A point ((x1, x2), (w1, w2)) has index (x1 * |G2| + x2) * |G1 x G2| +
+    (w1 * |G2| + w2), so the lattice is one outer sum of index arrays.
+    """
+    grp1, grp2 = delta1.base_group, delta2.base_group
     product = FiniteLcaGroup(grp1.orders + grp2.orders, grp1.weight * grp2.weight)
-    values = np.kron(g1.values, g2.values)
-    plane = product.plane()
-    elems = []
-    for z1 in delta1.elements:
-        x1, w1 = z1.coords[:grp1.rank], z1.coords[grp1.rank:]
-        for z2 in delta2.elements:
-            x2, w2 = z2.coords[:grp2.rank], z2.coords[grp2.rank:]
-            elems.append(plane.element(x1 + x2 + w1 + w2))
-    lattice = TfLattice(product, Subgroup.from_elements(plane, elems))
-    return Window(product, values), lattice
+    card2 = grp2.cardinality
+    x = delta1.x_indices[:, None] * card2 + delta2.x_indices
+    w = delta1.w_indices[:, None] * card2 + delta2.w_indices
+    points = x * product.cardinality + w
+    return TfLattice(product, Subgroup.from_indices(product.plane(), points.ravel()))
 
 
-def _window_values_on(sub_elements: Sequence[GroupElement],
+def _window_values_on(sub: Subgroup,
                       values: Mapping[GroupElement, complex] | Sequence[complex]) -> np.ndarray:
     if isinstance(values, Mapping):
-        out = np.zeros(len(sub_elements), dtype=np.complex128)
         keyed = {e.coords: v for e, v in values.items()}
-        for i, e in enumerate(sub_elements):
-            out[i] = keyed.get(e.coords, 0.0)
-        return out
+        rows = coords_matrix(sub.group.orders)[sub.index_array].tolist()
+        return np.array([keyed.get(tuple(c), 0.0) for c in rows], dtype=np.complex128)
     arr = np.asarray(list(values), dtype=np.complex128)
-    if arr.shape != (len(sub_elements),):
-        raise ValueError(f"need {len(sub_elements)} values, got {arr.shape}")
+    if arr.shape != (sub.order,):
+        raise ValueError(f"need {sub.order} values, got {arr.shape}")
     return arr
 
 
-def _restricted_gram_is_identity(group: FiniteLcaGroup, sub: Subgroup,
-                                 values: np.ndarray, lam: Subgroup) -> float:
-    """Identity defect of the Gabor system of ``values`` on the subgroup ``sub``.
+def _gram_defect(values: np.ndarray, points: np.ndarray, modulo: Subgroup,
+                 shifts: np.ndarray, chars: np.ndarray) -> float:
+    """Identity defect of the Gram matrix of the system <ch, .> values(. - s).
 
-    The system runs over lam x (annihilator(lam) modulo annihilator(sub));
-    characters of the subgroup are restrictions of ambient characters, and the
-    Gram matrix uses the ambient Haar weight restricted to the subgroup.
+    ``values`` is given on ``points``, the element indices that are smallest
+    in their cosets of ``modulo``, so t - s is read through its coset.  The
+    system runs over the element indices ``shifts`` and the dual indices
+    ``chars``; the Gram matrix uses the Haar weight of the ambient group.
     """
-    ann_lam = annihilator(lam)
-    ann_sub = annihilator(sub)
-    taken: set[int] = set()
-    char_reps = []
-    for ch in ann_lam.elements:
-        if ch.index in taken:
-            continue
-        char_reps.append(ch)
-        taken.update((ch + s).index for s in ann_sub.elements)
-    pos = {e.coords: i for i, e in enumerate(sub.elements)}
-    m = len(sub.elements)
-    vectors = []
-    for lam_el in lam.elements:
-        for ch in char_reps:
-            vec = np.zeros(m, dtype=np.complex128)
-            for i, t in enumerate(sub.elements):
-                e, N = pairing_exponent(ch, t)
-                phase = np.exp(2j * np.pi * (e / N))
-                vec[i] = phase * values[pos[(t - lam_el).coords]]
-            vectors.append(vec)
-    V = np.array(vectors).T
+    group = modulo.group
+    orders = group.orders
+    N = group.exponent
+    C = coords_matrix(orders)
+    scale = np.array([N // n for n in orders], dtype=np.int64)
+    phases = np.exp(2j * np.pi * (((C[points] * scale) @ C[chars].T % N) / N))
+    moved = _coset_minima(modulo, _index_sum(orders, points[:, None], shifts, sign=-1))
+    position = np.empty(group.cardinality, dtype=np.int64)
+    position[points] = np.arange(len(points))
+    V = (values[position[moved]][:, :, None] * phases[:, None, :]).reshape(len(points), -1)
     gram = float(group.weight) * (V.conj().T @ V)
     return float(np.max(np.abs(gram - np.eye(V.shape[1]))))
 
@@ -575,26 +558,27 @@ def lift_finite_index(group: FiniteLcaGroup, sub: Subgroup,
     reps = list(coset_reps) if coset_reps is not None else coset_transversal(group, sub)
     if len(reps) != k:
         raise ValueError(f"need {k} coset representatives, got {len(reps)}")
-    seen: set[tuple[int, ...]] = set()
     for rep in reps:
         if rep.group != group:
             raise GroupShapeError("coset representative outside the group")
-        canon = min(((rep + s).coords for s in sub.elements))
-        if canon in seen:
-            raise ValueError("coset representatives are not a transversal")
-        seen.add(canon)
-    vals_on_sub = _window_values_on(sub.elements, values)
+    rep_idx = np.array([rep.index for rep in reps], dtype=np.int64)
+    if len(set(_coset_minima(sub, rep_idx).tolist())) != k:
+        raise ValueError("coset representatives are not a transversal")
+    vals_on_sub = _window_values_on(sub, values)
 
-    defect = _restricted_gram_is_identity(group, sub, vals_on_sub, lam)
+    # The system runs over lam x (lam_perp modulo sub_perp): characters of the
+    # subgroup are restrictions of ambient characters.
+    lam_perp = annihilator(lam).index_array
+    chars = lam_perp[_coset_minima(annihilator(sub), lam_perp) == lam_perp]
+    defect = _gram_defect(vals_on_sub, sub.index_array, trivial_subgroup(group),
+                          lam.index_array, chars)
     if defect > tol:
         raise WindowNotOnbError(
             f"input window is not an ONB generator on the subgroup (defect {defect:.3e})")
 
     out = np.zeros(group.cardinality, dtype=np.complex128)
     scale = 1.0 / math.sqrt(k)
-    for rep in reps:
-        for i, h_el in enumerate(sub.elements):
-            out[(h_el + rep).index] = vals_on_sub[i] * scale
+    out[_index_sum(group.orders, rep_idx[:, None], sub.index_array)] = vals_on_sub * scale
     return Window(group, out), TfLattice.separable(lam)
 
 
@@ -616,29 +600,34 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
         raise ValueError("finite subgroup must be contained in the lattice")
 
     reps = coset_transversal(group, finite_sub)
+    rep_idx = np.array([r.index for r in reps], dtype=np.int64)
     m = len(reps)
     if isinstance(values, Mapping):
-        keyed: dict[tuple[int, ...], complex] = {}
+        keyed: dict[int, complex] = {}
         for e, v in values.items():
             if e.group != group:
                 raise GroupShapeError("quotient values keyed by elements of another group")
-            canon = min(((e + s).coords for s in finite_sub.elements))
+            canon = int(_coset_minima(finite_sub, e.index))
             if canon in keyed:
                 raise ValueError(f"two values given for the coset of {e}")
             keyed[canon] = v
-        quot_vals = np.array(
-            [keyed.get(min(((r + s).coords for s in finite_sub.elements)), 0.0) for r in reps],
-            dtype=np.complex128)
+        quot_vals = np.array([keyed.get(i, 0.0) for i in rep_idx.tolist()], dtype=np.complex128)
     else:
         quot_vals = np.asarray(list(values), dtype=np.complex128)
         if quot_vals.shape != (m,):
             raise ValueError(f"need {m} quotient values, got {quot_vals.shape}")
 
-    _check_quotient_onb(group, finite_sub, lam, reps, quot_vals, tol)
+    # The quotient system runs over p(lam) x p(lam)_perp; annihilator(lam)
+    # lies inside annihilator(F), so it is read on G/F unchanged.
+    lam_reps = lam.index_array[_coset_minima(finite_sub, lam.index_array) == lam.index_array]
+    lam_perp = annihilator(lam)
+    defect = _gram_defect(quot_vals, rep_idx, finite_sub, lam_reps, lam_perp.index_array)
+    if defect > tol:
+        raise WindowNotOnbError(
+            f"quotient window is not an ONB generator (defect {defect:.3e})")
 
     # Fourier transform on the quotient: lives on annihilator(F), scaled to
     # unit norm for the dual group's weight.
-    dual = group.dual()
     f_perp = annihilator(finite_sub)
     fhat = np.zeros(f_perp.order, dtype=np.complex128)
     for j, ch in enumerate(f_perp.elements):
@@ -649,43 +638,9 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
         fhat[j] = acc
     fhat *= math.sqrt(finite_sub.order)
 
-    gamma, _ = lift_finite_index(dual, f_perp, fhat, lam=annihilator(lam), tol=tol)
+    gamma, _ = lift_finite_index(group.dual(), f_perp, fhat, lam=lam_perp, tol=tol)
     lifted = inverse_fourier_transform(gamma)
     return lifted, TfLattice.separable(lam)
-
-
-def _check_quotient_onb(group: FiniteLcaGroup, finite_sub: Subgroup, lam: Subgroup,
-                        reps: Sequence[GroupElement], quot_vals: np.ndarray,
-                        tol: float) -> None:
-    """Verify the quotient Gabor system over p(lam) x p(lam)_perp is an ONB."""
-    coset_pos: dict[tuple[int, ...], int] = {}
-    for i, rep in enumerate(reps):
-        for s in finite_sub.elements:
-            coset_pos[(rep + s).coords] = i
-    # transversal of lam / F
-    lam_reps = []
-    covered: set[tuple[int, ...]] = set()
-    for el in lam.elements:
-        if el.coords in covered:
-            continue
-        lam_reps.append(el)
-        covered.update((el + s).coords for s in finite_sub.elements)
-    chars = annihilator(lam).elements  # subset of annihilator(F)
-    m = len(reps)
-    vectors = []
-    for lam_el in lam_reps:
-        for ch in chars:
-            vec = np.zeros(m, dtype=np.complex128)
-            for i, rep in enumerate(reps):
-                e, N = pairing_exponent(ch, rep)
-                vec[i] = np.exp(2j * np.pi * (e / N)) * quot_vals[coset_pos[(rep - lam_el).coords]]
-            vectors.append(vec)
-    V = np.array(vectors).T
-    gram = float(group.weight) * (V.conj().T @ V)
-    defect = float(np.max(np.abs(gram - np.eye(V.shape[1]))))
-    if defect > tol:
-        raise WindowNotOnbError(
-            f"quotient window is not an ONB generator (defect {defect:.3e})")
 
 
 def standard_onb(group: FiniteLcaGroup) -> tuple[Window, TfLattice]:

@@ -81,10 +81,7 @@ class FiniteLcaGroup:
 
     @cached_property
     def _strides(self) -> tuple[int, ...]:
-        s = [1] * self.rank
-        for i in range(self.rank - 2, -1, -1):
-            s[i] = s[i + 1] * self.orders[i + 1]
-        return tuple(s)
+        return tuple(_row_major_strides(self.orders).tolist())
 
     def dual(self) -> "FiniteLcaGroup":
         return FiniteLcaGroup(self.orders, Fraction(1, self.cardinality) / self.weight)
@@ -199,12 +196,32 @@ def _check_table_size(orders: tuple[int, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
+def _row_major_strides(orders: tuple[int, ...]) -> np.ndarray:
+    """Index weights of the coordinates: the last coordinate varies fastest.
+
+    Under these strides the smallest index of a set of elements is its
+    lexicographically smallest coordinate tuple.
+    """
+    out = np.ones(len(orders), dtype=np.int64)
+    for i in range(len(orders) - 2, -1, -1):
+        out[i] = out[i + 1] * orders[i + 1]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def coords_matrix(orders: tuple[int, ...]) -> np.ndarray:
     """(|G|, k) int64 coordinate matrix in element-index order (read-only)."""
     grids = np.indices(orders).reshape(len(orders), -1).T
     out = np.ascontiguousarray(grids, dtype=np.int64)
     out.setflags(write=False)
     return out
+
+
+def _index_sum(orders: tuple[int, ...], a, b, sign: int = 1) -> np.ndarray:
+    """Index of a + sign * b, elementwise over broadcastable index arrays."""
+    C = coords_matrix(orders)
+    return (C[a] + sign * C[b]) % np.array(orders) @ _row_major_strides(orders)
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +250,11 @@ def char_table(orders: tuple[int, ...]) -> np.ndarray:
 def add_index_table(orders: tuple[int, ...]) -> np.ndarray:
     """ADD[a, b] = index of a + b (read-only)."""
     _check_table_size(orders)
-    C = coords_matrix(orders)
-    card = C.shape[0]
-    orders_arr = np.array(orders, dtype=np.int64)
-    strides = np.empty(len(orders), dtype=np.int64)
-    acc = 1
-    for i in range(len(orders) - 1, -1, -1):
-        strides[i] = acc
-        acc *= orders[i]
+    card = math.prod(orders)
     out = np.empty((card, card), dtype=np.int64)
+    every = np.arange(card)
     for a in range(card):
-        out[a] = ((C[a] + C) % orders_arr) @ strides
+        out[a] = _index_sum(orders, a, every)
     out.setflags(write=False)
     return out
 
@@ -251,107 +262,119 @@ def add_index_table(orders: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def sub_index_table(orders: tuple[int, ...]) -> np.ndarray:
     """SUB[a, b] = index of a - b (read-only)."""
-    ADD = add_index_table(orders)
-    C = coords_matrix(orders)
-    orders_arr = np.array(orders, dtype=np.int64)
-    strides = np.empty(len(orders), dtype=np.int64)
-    acc = 1
-    for i in range(len(orders) - 1, -1, -1):
-        strides[i] = acc
-        acc *= orders[i]
-    neg = ((-C) % orders_arr) @ strides
-    out = ADD[:, neg]
+    neg = _index_sum(orders, 0, np.arange(math.prod(orders)), sign=-1)
+    out = add_index_table(orders)[:, neg]
     out.setflags(write=False)
+    return out
+
+
+def _close(orders: tuple[int, ...], mask: np.ndarray, x: int) -> np.ndarray:
+    """Membership mask of <H, x>, for the subgroup H with membership ``mask``.
+
+    <H, x> is the union of the cosets k*x + H for k below the order m of x
+    modulo H, so it is one sum of H's indices with the first m multiples of x.
+    """
+    C = coords_matrix(orders)
+    steps = np.arange(_lcm_many(orders) + 1)[:, None]
+    multiples = steps * C[x] % np.array(orders) @ _row_major_strides(orders)
+    m = 1 + int(np.argmax(mask[multiples[1:]]))
+    out = np.zeros_like(mask)
+    out[_index_sum(orders, np.flatnonzero(mask)[:, None], multiples[:m])] = True
+    return out
+
+
+def _zero_mask(card: int) -> np.ndarray:
+    out = np.zeros(card, dtype=bool)
+    out[0] = True
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """Fully enumerated subgroup with a sorted element list.
+    """Subgroup stored as the sorted int64 indices of its elements.
 
-    Equality and hashing use the element list only, so two subgroups given by
+    Equality and hashing use the index array only, so two subgroups given by
     different generating sets compare equal exactly when they coincide.
+    ``elements`` is built from the indices the first time it is read.
 
-    ``generators`` always generates ``elements``: ``enumerate_subgroup``
-    closes the given generators and ``from_elements`` recovers a generating
-    set from a closed list.  ``annihilator`` and ``adjoint_lattice`` test
+    ``generators`` always generates the subgroup: ``enumerate_subgroup``
+    closes the given generators and ``from_indices`` recovers a generating
+    set from a closed index set.  ``annihilator`` and ``adjoint_lattice`` test
     membership against the generators only, so they rely on this.
     """
 
     group: FiniteLcaGroup
     generators: tuple[GroupElement, ...]
-    elements: tuple[GroupElement, ...]
+    index_array: np.ndarray
+
+    def __post_init__(self):
+        self.index_array.setflags(write=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.index_array)
 
     @cached_property
-    def index_array(self) -> np.ndarray:
-        out = np.array([e.index for e in self.elements], dtype=np.int64)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def _coord_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(e.coords for e in self.elements)
+    def elements(self) -> tuple[GroupElement, ...]:
+        group = self.group
+        rows = coords_matrix(group.orders)[self.index_array].tolist()
+        return tuple(GroupElement(group, tuple(c)) for c in rows)
 
     def __contains__(self, element: GroupElement) -> bool:
         if element.group != self.group:
             raise GroupShapeError(f"element of {element.group} tested against subgroup of {self.group}")
-        return element.coords in self._coord_set
+        i = element.index
+        pos = int(np.searchsorted(self.index_array, i))
+        return pos < self.order and int(self.index_array[pos]) == i
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.group == other.group and self._coord_set == other._coord_set
+        return self.group == other.group and np.array_equal(self.index_array, other.index_array)
 
     def __hash__(self) -> int:
-        return hash((self.group, self._coord_set))
+        return hash((self.group, self.index_array.tobytes()))
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         if self.group != other.group:
             raise GroupShapeError("subgroups of different groups")
-        return self._coord_set <= other._coord_set
+        return bool(np.isin(self.index_array, other.index_array, assume_unique=True).all())
+
+    @classmethod
+    def from_indices(cls, group: FiniteLcaGroup, indices) -> "Subgroup":
+        """Wrap an already-closed set of element indices.
+
+        Generators are recovered greedily: in ascending index order, an
+        element becomes a generator when the earlier generators do not reach it.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= group.cardinality):
+            raise ValueError(f"element index out of range for |G| = {group.cardinality}")
+        # A mask rather than np.unique, which imports numpy.ma (~1 MB) on first use.
+        given = np.zeros(group.cardinality, dtype=bool)
+        given[idx] = True
+        mask = _zero_mask(group.cardinality)
+        gens = []
+        missing = np.flatnonzero(given & ~mask)
+        while missing.size:
+            gens.append(int(missing[0]))
+            mask = _close(group.orders, mask, gens[-1])
+            missing = np.flatnonzero(given & ~mask)
+        if not np.array_equal(mask, given):
+            raise ValueError("element list is not closed under the group operation")
+        return cls(group, tuple(group.element_by_index(i) for i in gens), np.flatnonzero(given))
 
     @classmethod
     def from_elements(cls, group: FiniteLcaGroup,
                       elements: Sequence[GroupElement]) -> "Subgroup":
         """Wrap an already-closed element list; recovers a small generating set."""
-        elems = sorted(elements, key=lambda e: e.index)
-        gens: list[GroupElement] = []
-        have = {group.zero().coords}
-        for e in elems:
-            if e.coords in have:
-                continue
-            gens.append(e)
-            have = {m.coords for m in _closure(group, gens)}
-        sub = cls(group, tuple(gens), tuple(elems))
-        if have != sub._coord_set:
-            raise ValueError("element list is not closed under the group operation")
-        return sub
-
-
-def _closure(group: FiniteLcaGroup, generators: Sequence[GroupElement]) -> list[GroupElement]:
-    members = {group.zero().coords}
-    elems = [group.zero()]
-    for gen in generators:
-        if gen.coords in members:
-            continue
-        base = list(elems)
-        step = gen
-        while step.coords not in members:
-            shifted = [e + step for e in base]
-            members.update(e.coords for e in shifted)
-            elems.extend(shifted)
-            step = step + gen
-    return elems
+        return cls.from_indices(group, [e.index for e in elements])
 
 
 def enumerate_subgroup(group: FiniteLcaGroup,
@@ -361,24 +384,27 @@ def enumerate_subgroup(group: FiniteLcaGroup,
     for g in gens:
         if g.group != group:
             raise GroupShapeError(f"generator {g} does not belong to {group}")
-    elems = _closure(group, gens)
-    if len(elems) > CARDINALITY_CAP:
+    mask = _zero_mask(group.cardinality)
+    for g in gens:
+        if not mask[g.index]:
+            mask = _close(group.orders, mask, g.index)
+    idx = np.flatnonzero(mask)
+    if len(idx) > CARDINALITY_CAP:
         raise CardinalityCapError(f"subgroup enumeration exceeded cap {CARDINALITY_CAP}")
-    elems.sort(key=lambda e: e.index)
-    return Subgroup(group, gens, tuple(elems))
+    return Subgroup(group, gens, idx)
 
 
 def trivial_subgroup(group: FiniteLcaGroup) -> Subgroup:
     return enumerate_subgroup(group, ())
 
 
+def _unit_coords(rank: int) -> list[tuple[int, ...]]:
+    """Coordinates of the standard generators e_1, ..., e_rank."""
+    return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+
 def full_subgroup(group: FiniteLcaGroup) -> Subgroup:
-    gens = []
-    for i in range(group.rank):
-        coords = [0] * group.rank
-        coords[i] = 1
-        gens.append(group.element(coords))
-    return enumerate_subgroup(group, gens)
+    return enumerate_subgroup(group, [group.element(c) for c in _unit_coords(group.rank)])
 
 
 def annihilator(sub: Subgroup) -> Subgroup:
@@ -389,16 +415,13 @@ def annihilator(sub: Subgroup) -> Subgroup:
     integer arithmetic throughout; |sub| * |annihilator| = |G| always.
     """
     group = sub.group
-    dual = group.dual()
     orders = group.orders
     N = group.exponent
     C = coords_matrix(orders)
     scale = np.array([N // n for n in orders], dtype=np.int64)
     gens = np.array([g.index for g in sub.generators], dtype=np.int64)
     E = C @ (C[gens] * scale).T % N  # (|G|, number of generators)
-    hits = np.nonzero(~E.any(axis=1))[0]
-    elems = tuple(dual.element_by_index(int(i)) for i in hits)
-    return Subgroup.from_elements(dual, elems)
+    return Subgroup.from_indices(group.dual(), np.flatnonzero(~E.any(axis=1)))
 
 
 def lattice_volume(sub: Subgroup) -> Fraction:
@@ -406,53 +429,55 @@ def lattice_volume(sub: Subgroup) -> Fraction:
     return sub.group.total_mass / sub.order
 
 
+def _coset_minima(sub: Subgroup, xs) -> np.ndarray:
+    """Smallest index of x + sub for each index x in ``xs``.
+
+    That index is the canonical representative of the coset: under the
+    row-major strides it is the lexicographically smallest coordinate tuple.
+    """
+    orders = sub.group.orders
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.full(xs.shape, sub.group.cardinality, dtype=np.int64)
+    for h in sub.index_array:
+        np.minimum(out, _index_sum(orders, xs, h), out=out)
+    return out
+
+
 def coset_transversal(group: FiniteLcaGroup, sub: Subgroup) -> list[GroupElement]:
     """Canonical coset representatives (smallest element index first)."""
     if sub.group != group:
         raise GroupShapeError("subgroup belongs to a different group")
-    covered: set[int] = set()
-    reps = []
-    for i in range(group.cardinality):
-        if i in covered:
-            continue
-        rep = group.element_by_index(i)
-        reps.append(rep)
-        covered.update((rep + s).index for s in sub.elements)
-    return reps
+    every = np.arange(group.cardinality)
+    reps = np.flatnonzero(_coset_minima(sub, every) == every)
+    return [group.element_by_index(int(i)) for i in reps]
 
 
 def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
-    """Every subgroup, by closing known subgroups under single extra elements."""
+    """Every subgroup, by closing known subgroups under single extra elements.
+
+    <H, x + h> = <H, x> for h in H, so each coset of H is tried once.
+    """
     _check_table_size(group.orders)
-    ADD = add_index_table(group.orders)
-    card = group.cardinality
-    trivial = frozenset({0})
-    seen = {trivial}
+    orders, card = group.orders, group.cardinality
+    trivial = _zero_mask(card)
+    seen = {trivial.tobytes(): trivial}
     queue = [trivial]
     while queue:
         H = queue.pop()
+        members = np.flatnonzero(H)
+        tried = H.copy()
         for x in range(1, card):
-            if x in H:
+            if tried[x]:
                 continue
-            closed = _close_index_set(H, x, ADD)
-            if closed not in seen:
-                seen.add(closed)
+            tried[_index_sum(orders, x, members)] = True
+            closed = _close(orders, H, x)
+            key = closed.tobytes()
+            if key not in seen:
+                seen[key] = closed
                 queue.append(closed)
-    subs = []
-    for member_set in sorted(seen, key=lambda s: (len(s), sorted(s))):
-        elems = tuple(group.element_by_index(i) for i in sorted(member_set))
-        subs.append(Subgroup.from_elements(group, elems))
-    return subs
-
-
-def _close_index_set(H: frozenset[int], x: int, ADD: np.ndarray) -> frozenset[int]:
-    base = np.fromiter(H, dtype=np.int64)
-    out = set(H)
-    y = x
-    while y not in H:
-        out.update(int(i) for i in ADD[base, y])
-        y = int(ADD[y, x])
-    return frozenset(out)
+    found = sorted((np.flatnonzero(m) for m in seen.values()),
+                   key=lambda idx: (len(idx), idx.tolist()))
+    return [Subgroup.from_indices(group, idx) for idx in found]
 
 
 # --- specification grammar shared with the CLI ------------------------------

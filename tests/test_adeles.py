@@ -19,7 +19,7 @@ from gabor_lca.adeles import (
     parse_automorphism_document,
 )
 from gabor_lca.experiments import random_plane_lattice
-from gabor_lca.gabor import TfLattice, Window
+from gabor_lca.gabor import TfLattice, Window, _product_lattice
 from gabor_lca.groups import FiniteLcaGroup, Subgroup
 from gabor_lca.padic import RationalMatrix
 
@@ -50,6 +50,18 @@ def product_residual_by_shifts(g, h, delta1, M, d):
         target = kappa if base_zero else 0.0
         residual = max(residual, abs(g_t.inner(gl.tf_shift_plane(z, h_t)) - target))
     return residual
+
+
+def transference_lattice_by_points(delta1, M, d):
+    """Oracle: the product lattice delta1 x (K x K_perp), point by point."""
+    base = delta1.base_group
+    k = base.rank
+    H, K, K_perp = compact_open_surrogate(M, d)
+    product = FiniteLcaGroup(base.orders + H.orders, base.weight * H.weight)
+    plane = product.plane()
+    elems = [plane.element(z1.coords[:k] + x2.coords + z1.coords[k:] + w2.coords)
+             for z1 in delta1.elements for x2 in K.elements for w2 in K_perp.elements]
+    return TfLattice(product, Subgroup.from_elements(plane, elems))
 
 
 def scalar_auto(place_set, inf, **finite):
@@ -428,3 +440,20 @@ class TestAutomorphismDocuments:
     def test_component_outside_s_rejected(self):
         with pytest.raises(PlaceDataError):
             parse_automorphism_document("S = 2\nAinf = [[1]]\nA5 = [[5]]\n")
+
+
+class TestTransferenceLattice:
+    def test_product_helper_matches_point_oracle(self):
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            G = FiniteLcaGroup(((2,), (3,), (4,), (2, 2), (6,))[int(rng.integers(5))])
+            delta1 = random_plane_lattice(G, rng)
+            M = int(rng.integers(2, 9))
+            divisors = [d for d in range(1, M + 1) if M % d == 0]
+            d = divisors[int(rng.integers(len(divisors)))]
+            _, K, K_perp = compact_open_surrogate(M, d)
+            fast = _product_lattice(delta1, TfLattice.separable(K, K_perp))
+            slow = transference_lattice_by_points(delta1, M, d)
+            assert fast == slow and fast.base_group == slow.base_group
+            assert fast.subgroup.generators == slow.subgroup.generators
+            assert fast.volume == delta1.volume

@@ -46,6 +46,19 @@ class TestFrameBoundsCommand:
         assert reparsed.subgroup == original.subgroup
         assert Fraction(payload["volume"]) == original.volume
 
+    def test_trivial_lattice_round_trip(self, capsys):
+        code, payload = run_json(capsys, "adjoint", "--group", "Z2", "--lattice", "full-plane")
+        assert code == 0
+        assert payload["adjoint"] == "plane-gens=(())"
+        code, bounds = run_json(capsys, "frame-bounds", "--group", "Z2",
+                                "--window", "delta0", "--lattice", payload["adjoint"])
+        assert code == 0
+        assert bounds["lattice"] == "plane-gens=(())"
+        assert Fraction(bounds["volume"]) == 2
+        assert bounds["is_frame"] is False
+        group = FiniteLcaGroup((2,))
+        assert cli.parse_lattice_literal(group, "plane-gens=(())").order == 1
+
     def test_bad_group_is_exit_2(self, capsys):
         code, out, err = run(capsys, "frame-bounds", "--group", "G4",
                              "--window", "delta0", "--lattice", "time-axis")

@@ -5,16 +5,29 @@ import numpy as np
 import pytest
 
 import gabor_lca as gl
-from gabor_lca.experiments import seeded_frame_instances, seeded_janssen_instances
+from gabor_lca.experiments import (
+    random_group,
+    random_plane_lattice,
+    random_subgroup,
+    seeded_frame_instances,
+    seeded_janssen_instances,
+)
 from gabor_lca.gabor import (
     NotAFrameError,
     TfLattice,
     Window,
     WindowNotOnbError,
     _adjoint_coefficients,
+    _product_lattice,
     _system_columns,
 )
-from gabor_lca.groups import FiniteLcaGroup, GroupShapeError, Subgroup, coords_matrix
+from gabor_lca.groups import (
+    FiniteLcaGroup,
+    GroupShapeError,
+    Subgroup,
+    coords_matrix,
+    pairing_exponent,
+)
 
 
 def rng_for(seed=0):
@@ -58,6 +71,90 @@ def wexler_raz_residual_by_shifts(g, h, delta):
         target = kappa if z.is_zero() else 0.0
         residual = max(residual, abs(g.inner(gl.tf_shift_plane(z, h)) - target))
     return residual
+
+
+def product_by_points(delta1, delta2):
+    """Oracle for the product-lattice helper: delta1 x delta2 point by point."""
+    grp1, grp2 = delta1.base_group, delta2.base_group
+    product = FiniteLcaGroup(grp1.orders + grp2.orders, grp1.weight * grp2.weight)
+    plane = product.plane()
+    elems = []
+    for z1 in delta1.elements:
+        x1, w1 = z1.coords[:grp1.rank], z1.coords[grp1.rank:]
+        for z2 in delta2.elements:
+            x2, w2 = z2.coords[:grp2.rank], z2.coords[grp2.rank:]
+            elems.append(plane.element(x1 + x2 + w1 + w2))
+    return TfLattice(product, Subgroup.from_elements(plane, elems))
+
+
+def separable_by_points(lam, dual_part):
+    """Oracle for ``TfLattice.separable``: Lambda x dual_part point by point."""
+    plane = lam.group.plane()
+    elems = [plane.element(x.coords + w.coords)
+             for x in lam.elements for w in dual_part.elements]
+    return TfLattice(lam.group, Subgroup.from_elements(plane, elems))
+
+
+def gram_defect_of_vectors(group, vectors):
+    V = np.array(vectors).T
+    gram = float(group.weight) * (V.conj().T @ V)
+    return float(np.max(np.abs(gram - np.eye(V.shape[1]))))
+
+
+def lift_defect_by_elements(group, sub, values, lam):
+    """Oracle: identity defect of the system on ``sub`` over lam x
+    (lam_perp modulo sub_perp), one element and one character at a time."""
+    ann_sub = gl.annihilator(sub)
+    taken, char_reps = set(), []
+    for ch in gl.annihilator(lam).elements:
+        if ch.index in taken:
+            continue
+        char_reps.append(ch)
+        taken.update((ch + s).index for s in ann_sub.elements)
+    pos = {e.coords: i for i, e in enumerate(sub.elements)}
+    vectors = []
+    for lam_el in lam.elements:
+        for ch in char_reps:
+            vec = np.zeros(sub.order, dtype=np.complex128)
+            for i, t in enumerate(sub.elements):
+                e, N = pairing_exponent(ch, t)
+                vec[i] = np.exp(2j * np.pi * (e / N)) * values[pos[(t - lam_el).coords]]
+            vectors.append(vec)
+    return gram_defect_of_vectors(group, vectors)
+
+
+def quotient_defect_by_elements(group, finite_sub, lam, quot_vals):
+    """Oracle: identity defect of the quotient system over p(lam) x
+    p(lam)_perp on G/F, one coset and one character at a time."""
+    reps = gl.coset_transversal(group, finite_sub)
+    coset_pos = {(rep + s).coords: i for i, rep in enumerate(reps) for s in finite_sub.elements}
+    lam_reps, covered = [], set()
+    for el in lam.elements:
+        if el.coords in covered:
+            continue
+        lam_reps.append(el)
+        covered.update((el + s).coords for s in finite_sub.elements)
+    vectors = []
+    for lam_el in lam_reps:
+        for ch in gl.annihilator(lam).elements:
+            vec = np.zeros(len(reps), dtype=np.complex128)
+            for i, rep in enumerate(reps):
+                e, N = pairing_exponent(ch, rep)
+                vec[i] = np.exp(2j * np.pi * (e / N)) * quot_vals[coset_pos[(rep - lam_el).coords]]
+            vectors.append(vec)
+    return gram_defect_of_vectors(group, vectors)
+
+
+def assert_verdict_flips_at(call, defect, message):
+    """The Gram check of ``call(tol)`` whose error starts with ``message``
+    passes just above ``defect`` and fails just below it."""
+    try:
+        call(defect * (1 + 1e-9) + 1e-12)
+    except WindowNotOnbError as exc:
+        assert not str(exc).startswith(message), exc
+    if defect > 1e-9:
+        with pytest.raises(WindowNotOnbError, match="^" + message):
+            call(defect * (1 - 1e-9))
 
 
 class TestWindowsAndFourier:
@@ -667,3 +764,70 @@ class TestOnbConstructions:
         lhs = gl.s0_norm(pushed, ref)
         rhs = gl.s0_norm(gl.fourier_transform(pushed), gl.fourier_transform(ref))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestIndexArithmeticOracles:
+    """Lattices and Gram checks built on index arithmetic against the
+    element-by-element code they replaced."""
+
+    def test_separable_matches_point_oracle(self):
+        rng = rng_for(41)
+        for _ in range(25):
+            G = random_group(rng, max_card=24)
+            lam = random_subgroup(G, rng)
+            for dual_part in (gl.annihilator(lam), random_subgroup(G.dual(), rng)):
+                fast = TfLattice.separable(lam, dual_part)
+                slow = separable_by_points(lam, dual_part)
+                assert fast == slow
+                assert fast.subgroup.generators == slow.subgroup.generators
+
+    def test_separable_rejects_dual_part_of_another_shape(self):
+        lam = gl.full_subgroup(Z(4))
+        with pytest.raises(GroupShapeError):
+            TfLattice.separable(lam, gl.full_subgroup(Z(2, 2).dual()))
+
+    def test_product_lattice_matches_point_oracle(self):
+        rng = rng_for(42)
+        for _ in range(20):
+            G1 = random_group(rng, max_card=6)
+            G2 = random_group(rng, max_card=6)
+            d1, d2 = random_plane_lattice(G1, rng), random_plane_lattice(G2, rng)
+            fast, slow = _product_lattice(d1, d2), product_by_points(d1, d2)
+            assert fast == slow
+            assert fast.base_group == slow.base_group
+            assert fast.subgroup.generators == slow.subgroup.generators
+
+    def test_tensor_onb_lattice_matches_point_oracle(self):
+        for o1, o2 in [((2,), (3,)), ((4,), (2,)), ((2, 2), (3,))]:
+            g1, d1 = gl.standard_onb(FiniteLcaGroup(o1))
+            g2, d2 = gl.standard_onb(FiniteLcaGroup(o2))
+            g, delta = gl.tensor_onb(g1, d1, g2, d2)
+            slow = product_by_points(d1, d2)
+            assert delta == slow and delta.subgroup.generators == slow.subgroup.generators
+            assert g.group == slow.base_group
+
+    def test_lift_gram_check_matches_element_oracle(self):
+        rng = rng_for(43)
+        for _ in range(15):
+            G = random_group(rng, max_card=16)
+            sub = random_subgroup(G, rng)
+            lam = gl.enumerate_subgroup(G, [sub.elements[int(rng.integers(sub.order))]])
+            vals = rng.standard_normal(sub.order) + 1j * rng.standard_normal(sub.order)
+            defect = lift_defect_by_elements(G, sub, vals, lam)
+            assert_verdict_flips_at(
+                lambda tol: gl.lift_finite_index(G, sub, vals, lam=lam, tol=tol), defect,
+                "input window is not an ONB generator")
+
+    def test_quotient_gram_check_matches_element_oracle(self):
+        rng = rng_for(44)
+        for _ in range(15):
+            G = random_group(rng, max_card=16)
+            F = random_subgroup(G, rng)
+            extra = G.element_by_index(int(rng.integers(G.cardinality)))
+            lam = gl.enumerate_subgroup(G, list(F.generators) + [extra])
+            m = G.cardinality // F.order
+            vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            defect = quotient_defect_by_elements(G, F, lam, vals)
+            assert_verdict_flips_at(
+                lambda tol: gl.push_finite_subgroup(G, F, lam, vals, tol=tol), defect,
+                "quotient window is not an ONB generator")

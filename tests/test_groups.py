@@ -12,6 +12,7 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
+    add_index_table,
     coords_matrix,
     parse_coord_tuples,
 )
@@ -43,6 +44,75 @@ def annihilator_full_scan(sub):
     hits = np.nonzero(~E.any(axis=1))[0]
     dual = group.dual()
     return Subgroup.from_elements(dual, [dual.element_by_index(int(i)) for i in hits])
+
+
+def closure_by_elements(group, generators):
+    """Oracle: close a generating set one GroupElement at a time."""
+    members = {group.zero().coords}
+    elems = [group.zero()]
+    for gen in generators:
+        if gen.coords in members:
+            continue
+        base = list(elems)
+        step = gen
+        while step.coords not in members:
+            shifted = [e + step for e in base]
+            members.update(e.coords for e in shifted)
+            elems.extend(shifted)
+            step = step + gen
+    return elems
+
+
+def from_elements_by_closure(group, elements):
+    """Oracle for ``Subgroup.from_indices``: greedy generators in ascending
+    index order, re-closing the element list after each one.
+
+    Returns (generators, sorted elements) as coordinate tuples.
+    """
+    elems = sorted(elements, key=lambda e: e.index)
+    gens = []
+    have = {group.zero().coords}
+    for e in elems:
+        if e.coords in have:
+            continue
+        gens.append(e)
+        have = {m.coords for m in closure_by_elements(group, gens)}
+    if have != {e.coords for e in elems}:
+        raise ValueError("element list is not closed under the group operation")
+    return [g.coords for g in gens], [e.coords for e in elems]
+
+
+def all_subgroups_by_add_table(group):
+    """Oracle for ``all_subgroups``: close index sets under single extra
+    elements through the ADD table, trying every element outside each one."""
+    ADD = add_index_table(group.orders)
+    trivial = frozenset({0})
+    seen = {trivial}
+    queue = [trivial]
+    while queue:
+        H = queue.pop()
+        for x in range(1, group.cardinality):
+            if x in H:
+                continue
+            base = np.fromiter(H, dtype=np.int64)
+            closed = set(H)
+            y = x
+            while y not in H:
+                closed.update(int(i) for i in ADD[base, y])
+                y = int(ADD[y, x])
+            closed = frozenset(closed)
+            if closed not in seen:
+                seen.add(closed)
+                queue.append(closed)
+    out = []
+    for member_set in sorted(seen, key=lambda s: (len(s), sorted(s))):
+        elems = [group.element_by_index(i) for i in sorted(member_set)]
+        out.append(from_elements_by_closure(group, elems))
+    return out
+
+
+def generators_and_elements(sub):
+    return [g.coords for g in sub.generators], [e.coords for e in sub.elements]
 
 
 def shapes_up_to(max_card):
@@ -300,3 +370,58 @@ class TestVolumes:
         G = FiniteLcaGroup(orders)
         for H in gl.all_subgroups(G):
             assert gl.lattice_volume(H) * gl.lattice_volume(gl.annihilator(H)) == 1
+
+
+class TestIndexCore:
+    """The index-array subgroup core against the element-by-element code it replaced."""
+
+    def test_all_subgroups_match_element_oracle(self):
+        shapes = shapes_up_to(32)
+        assert (2, 2, 2, 2, 2) in shapes and (32,) in shapes
+        for orders in shapes:
+            G = FiniteLcaGroup(orders)
+            fast = [generators_and_elements(H) for H in gl.all_subgroups(G)]
+            assert fast == all_subgroups_by_add_table(G), str(G)
+
+    @pytest.mark.parametrize("orders", [(4,), (6,), (2, 2)])
+    def test_plane_subgroups_match_element_oracle(self, orders):
+        plane = FiniteLcaGroup(orders).plane()
+        fast = [generators_and_elements(H) for H in gl.all_subgroups(plane)]
+        assert fast == all_subgroups_by_add_table(plane)
+
+    @settings(max_examples=40, deadline=None)
+    @given(group_and_elements(count=3))
+    def test_from_indices_matches_greedy_oracle(self, data):
+        group, gens = data
+        H = gl.enumerate_subgroup(group, gens)
+        oracle = from_elements_by_closure(group, closure_by_elements(group, gens))
+        rebuilt = Subgroup.from_indices(group, H.index_array[::-1])
+        assert generators_and_elements(rebuilt) == oracle
+        assert [e.coords for e in H.elements] == oracle[1]
+        assert rebuilt == H and hash(rebuilt) == hash(H)
+
+    def test_from_indices_rejects_bad_sets(self):
+        G = FiniteLcaGroup((2, 3))
+        for bad in ([], [1], [0, 1], [0, 6]):
+            with pytest.raises(ValueError):
+                Subgroup.from_indices(G, bad)
+
+    def test_membership_and_subsets_on_indices(self):
+        G = FiniteLcaGroup((2, 6))
+        H = gl.enumerate_subgroup(G, [G.element((0, 2))])
+        K = gl.enumerate_subgroup(G, [G.element((1, 2))])
+        for x in G.elements():
+            assert (x in H) == (x.coords in {e.coords for e in H.elements})
+        assert H.is_subset_of(K) and not K.is_subset_of(H)
+        assert H.index_array.flags.writeable is False
+
+    def test_coset_transversal_matches_covering_oracle(self):
+        for orders in shapes_up_to(16):
+            G = FiniteLcaGroup(orders)
+            for H in gl.all_subgroups(G):
+                covered, reps = set(), []
+                for x in G.elements():
+                    if x.coords not in covered:
+                        reps.append(x.coords)
+                        covered.update((x + s).coords for s in H.elements)
+                assert [r.coords for r in gl.coset_transversal(G, H)] == reps
