@@ -364,7 +364,8 @@ def lattice_membership(x: AdeleVector, lattice: AdeleLattice) -> MembershipResul
 
 def lattice_equality(a: AdeleLattice, b: AdeleLattice) -> bool:
     """A1 Z(S)^n = A2 Z(S)^n iff A1^{-1} A2 has one common rational component
-    R at every place with R in GL_n(Z(S))."""
+    R at every place with R in GL_n(Z(S)): by the adjugate formula, exactly
+    when the entries of R and 1/det R lie in Z(S)."""
     if a.place_set != b.place_set:
         raise PlaceDataError("lattices use different place sets")
     if a.dim != b.dim:
@@ -374,12 +375,8 @@ def lattice_equality(a: AdeleLattice, b: AdeleLattice) -> bool:
     for p in a.place_set:
         if m.component(p) != r:
             return False
-    for mat in (r, r.inverse()):
-        for row in mat.entries:
-            for v in row:
-                if not _in_z_s(v, a.place_set):
-                    return False
-    return True
+    return _in_z_s(1 / r.det, a.place_set) and all(
+        _in_z_s(v, a.place_set) for row in r.entries for v in row)
 
 
 # --- Balian-Low classification ----------------------------------------------

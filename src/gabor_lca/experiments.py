@@ -92,8 +92,8 @@ def window_stability_sweep(g: Window, delta: TfLattice,
     vol^{-1} sum_z |<pi(z)(g'-g), g'> + <pi(z)g, g'-g>|, which must dominate.
     """
     eps_values = [float(e) for e in eps_values]
-    if any(b <= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError("eps grid must be strictly increasing")
+    if not eps_values or any(b <= a for a, b in zip(eps_values, eps_values[1:])):
+        raise ValueError("eps grid must be non-empty and strictly increasing")
     base_report = frame_bounds(g, delta)
     if not base_report.is_frame:
         raise ValueError("stability sweep needs a frame to start from")
@@ -159,8 +159,8 @@ def critical_density_trend(n_values: Sequence[int],
     volume 1/2 stay uniformly conditioned.
     """
     n_values = [int(n) for n in n_values]
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n grid must be strictly increasing")
+    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n grid must be non-empty and strictly increasing")
     rows = []
     ratios = []
     zak_mins = []
@@ -253,6 +253,9 @@ _GROUP_CATALOG: tuple[tuple[int, ...], ...] = (
 
 def random_group(rng: np.random.Generator, max_card: int = 36) -> FiniteLcaGroup:
     pool = [o for o in _GROUP_CATALOG if math.prod(o) <= max_card]
+    if not pool:
+        raise ValueError(f"max card {max_card} is below the smallest catalog order "
+                         f"{min(map(math.prod, _GROUP_CATALOG))}")
     return FiniteLcaGroup(pool[int(rng.integers(len(pool)))])
 
 
@@ -285,6 +288,8 @@ def seeded_janssen_instances(count: int, seed: int = 0,
 
 def janssen_max_defect(count: int, seed: int = 0, max_card: int = 36) -> float:
     """Worst max-entry difference between the two frame-operator computations."""
+    if count < 1:
+        raise ValueError(f"need at least one instance, got {count}")
     worst = 0.0
     for g, h, delta in seeded_janssen_instances(count, seed, max_card):
         S = frame_operator(g, h, delta)

@@ -19,8 +19,11 @@ from .groups import (
     GroupElement,
     GroupShapeError,
     Subgroup,
+    _annihilated,
+    _coset_leaders,
     _coset_minima,
     _index_sum,
+    _pair_exponents,
     _unit_coords,
     add_index_table,
     annihilator,
@@ -29,7 +32,6 @@ from .groups import (
     coset_transversal,
     enumerate_subgroup,
     lattice_volume,
-    pairing_exponent,
     sub_index_table,
     trivial_subgroup,
 )
@@ -256,20 +258,18 @@ def tf_shift_plane(z: GroupElement, f: Window) -> Window:
     return tf_shift(f.group.element(z.coords[:k]), f.group.dual().element(z.coords[k:]), f)
 
 
+def _rotated(z: GroupElement) -> tuple[int, ...]:
+    """(-omega, x) for z = (x, omega); its pairing with (y, tau) is tau(x) conj(omega(y))."""
+    k = len(z.coords) // 2
+    return tuple(-c for c in z.coords[k:]) + z.coords[:k]
+
+
 def commutation_exponent(z: GroupElement, w: GroupElement) -> tuple[int, int]:
     """Exact phase of the commutation defect tau(x) * conj(omega(y))."""
     if z.group != w.group:
         raise GroupShapeError("plane points from different planes")
-    k = len(z.coords) // 2
-    x, omega = z.coords[:k], z.coords[k:]
-    y, tau = w.coords[:k], w.coords[k:]
-    grp = z.group
-    N = grp.exponent
-    e = 0
-    for i in range(k):
-        n = grp.orders[i]
-        e += (tau[i] * x[i] - omega[i] * y[i]) * (N // n)
-    return e % N, N
+    E, N = _pair_exponents(z.group.orders, [_rotated(z)], [w.coords])
+    return int(E[0, 0]), N
 
 
 def commutation_defect(z: GroupElement, w: GroupElement) -> complex:
@@ -281,22 +281,14 @@ def commutation_defect(z: GroupElement, w: GroupElement) -> complex:
 def adjoint_lattice(delta: TfLattice) -> TfLattice:
     """Adjoint lattice: plane points whose shifts commute with all of Delta.
 
-    The commutation form is a bicharacter, so a point commutes with all of
-    Delta exactly when it commutes with each generator; only those are tested.
-    Exact integer arithmetic; |Delta| * |adjoint| = |G|^2 and the volumes are
-    reciprocal.
+    It is the annihilator of the rotated lattice (see ``_rotated``), read in
+    the plane itself.  Exact integer arithmetic; |Delta| * |adjoint| = |G|^2
+    and the volumes are reciprocal.
     """
     base = delta.base_group
     plane = base.plane()
-    C = coords_matrix(plane.orders)
-    S = C[np.array([z.index for z in delta.subgroup.generators], dtype=np.int64)]
-    k = base.rank
-    N = base.exponent
-    scale = np.array([N // n for n in base.orders], dtype=np.int64)
-    X, W = C[:, :k], C[:, k:]
-    Y, T = S[:, :k], S[:, k:]
-    E = (X @ (T * scale).T - W @ (Y * scale).T) % N
-    return TfLattice(base, Subgroup.from_indices(plane, np.flatnonzero(~E.any(axis=1))))
+    hits = _annihilated(plane.orders, [_rotated(z) for z in delta.subgroup.generators])
+    return TfLattice(base, Subgroup.from_indices(plane, hits))
 
 
 def _system_columns(g: Window, delta: TfLattice) -> np.ndarray:
@@ -525,10 +517,9 @@ def _gram_defect(values: np.ndarray, points: np.ndarray, modulo: Subgroup,
     """
     group = modulo.group
     orders = group.orders
-    N = group.exponent
     C = coords_matrix(orders)
-    scale = np.array([N // n for n in orders], dtype=np.int64)
-    phases = np.exp(2j * np.pi * (((C[points] * scale) @ C[chars].T % N) / N))
+    E, N = _pair_exponents(orders, C[points], C[chars])
+    phases = np.exp(2j * np.pi * (E / N))
     moved = _coset_minima(modulo, _index_sum(orders, points[:, None], shifts, sign=-1))
     position = np.empty(group.cardinality, dtype=np.int64)
     position[points] = np.arange(len(points))
@@ -568,8 +559,7 @@ def lift_finite_index(group: FiniteLcaGroup, sub: Subgroup,
 
     # The system runs over lam x (lam_perp modulo sub_perp): characters of the
     # subgroup are restrictions of ambient characters.
-    lam_perp = annihilator(lam).index_array
-    chars = lam_perp[_coset_minima(annihilator(sub), lam_perp) == lam_perp]
+    chars = _coset_leaders(annihilator(sub), annihilator(lam).index_array)
     defect = _gram_defect(vals_on_sub, sub.index_array, trivial_subgroup(group),
                           lam.index_array, chars)
     if defect > tol:
@@ -599,9 +589,7 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
     if not finite_sub.is_subset_of(lam):
         raise ValueError("finite subgroup must be contained in the lattice")
 
-    reps = coset_transversal(group, finite_sub)
-    rep_idx = np.array([r.index for r in reps], dtype=np.int64)
-    m = len(reps)
+    rep_idx = _coset_leaders(finite_sub, np.arange(group.cardinality))
     if isinstance(values, Mapping):
         keyed: dict[int, complex] = {}
         for e, v in values.items():
@@ -614,12 +602,12 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
         quot_vals = np.array([keyed.get(i, 0.0) for i in rep_idx.tolist()], dtype=np.complex128)
     else:
         quot_vals = np.asarray(list(values), dtype=np.complex128)
-        if quot_vals.shape != (m,):
-            raise ValueError(f"need {m} quotient values, got {quot_vals.shape}")
+        if quot_vals.shape != rep_idx.shape:
+            raise ValueError(f"need {len(rep_idx)} quotient values, got {quot_vals.shape}")
 
     # The quotient system runs over p(lam) x p(lam)_perp; annihilator(lam)
     # lies inside annihilator(F), so it is read on G/F unchanged.
-    lam_reps = lam.index_array[_coset_minima(finite_sub, lam.index_array) == lam.index_array]
+    lam_reps = _coset_leaders(finite_sub, lam.index_array)
     lam_perp = annihilator(lam)
     defect = _gram_defect(quot_vals, rep_idx, finite_sub, lam_reps, lam_perp.index_array)
     if defect > tol:
@@ -629,14 +617,9 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
     # Fourier transform on the quotient: lives on annihilator(F), scaled to
     # unit norm for the dual group's weight.
     f_perp = annihilator(finite_sub)
-    fhat = np.zeros(f_perp.order, dtype=np.complex128)
-    for j, ch in enumerate(f_perp.elements):
-        acc = 0.0 + 0.0j
-        for i, rep in enumerate(reps):
-            e, N = pairing_exponent(ch, rep)
-            acc += quot_vals[i] * np.exp(-2j * np.pi * (e / N))
-        fhat[j] = acc
-    fhat *= math.sqrt(finite_sub.order)
+    C = coords_matrix(group.orders)
+    E, N = _pair_exponents(group.orders, C[f_perp.index_array], C[rep_idx])
+    fhat = (np.exp(-2j * np.pi * (E / N)) @ quot_vals) * math.sqrt(finite_sub.order)
 
     gamma, _ = lift_finite_index(group.dual(), f_perp, fhat, lam=lam_perp, tol=tol)
     lifted = inverse_fourier_transform(gamma)

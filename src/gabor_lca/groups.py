@@ -172,11 +172,8 @@ def pairing_exponent(omega: GroupElement, x: GroupElement) -> tuple[int, int]:
     """
     if omega.group.orders != x.group.orders:
         raise GroupShapeError(f"cannot pair element of {omega.group} with element of {x.group}")
-    N = omega.group.exponent
-    e = 0
-    for w, c, n in zip(omega.coords, x.coords, omega.group.orders):
-        e += w * c * (N // n)
-    return e % N, N
+    E, N = _pair_exponents(omega.group.orders, [omega.coords], [x.coords])
+    return int(E[0, 0]), N
 
 
 def pairing(omega: GroupElement, x: GroupElement) -> complex:
@@ -218,6 +215,27 @@ def coords_matrix(orders: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _pair_exponents(orders: tuple[int, ...], a, b) -> tuple[np.ndarray, int]:
+    """Exact int64 pairing exponents of two stacks of coordinate rows.
+
+    E[i, j] = sum_k a[i, k] b[j, k] (N / n_k) mod N with N = lcm(orders), so
+    <a_i, b_j> = exp(2*pi*i*E[i, j]/N); either stack may hold the characters.
+    """
+    N = _lcm_many(orders)
+    scale = np.array([N // n for n in orders], dtype=np.int64)
+    a, b = (np.asarray(r, dtype=np.int64).reshape(-1, len(orders)) for r in (a, b))
+    return (a * scale) @ b.T % N, N
+
+
+def _annihilated(orders: tuple[int, ...], rows) -> np.ndarray:
+    """Indices of the points that pair trivially with every coordinate row.
+
+    The pairing is a bicharacter, so for a subgroup its generators suffice.
+    """
+    E, _ = _pair_exponents(orders, rows, coords_matrix(orders))
+    return np.flatnonzero(~E.any(axis=0))
+
+
 def _index_sum(orders: tuple[int, ...], a, b, sign: int = 1) -> np.ndarray:
     """Index of a + sign * b, elementwise over broadcastable index arrays."""
     C = coords_matrix(orders)
@@ -229,9 +247,7 @@ def pair_exponent_table(orders: tuple[int, ...]) -> np.ndarray:
     """E[w, x] = exact pairing exponent mod N, so CHI = exp(2*pi*i*E/N)."""
     _check_table_size(orders)
     C = coords_matrix(orders)
-    N = _lcm_many(orders)
-    scale = np.array([N // n for n in orders], dtype=np.int64)
-    E = (C * scale) @ C.T % N
+    E, _ = _pair_exponents(orders, C, C)
     E.setflags(write=False)
     return E
 
@@ -410,18 +426,11 @@ def full_subgroup(group: FiniteLcaGroup) -> Subgroup:
 def annihilator(sub: Subgroup) -> Subgroup:
     """Characters of the ambient group trivial on ``sub``, inside the dual group.
 
-    The pairing is a bicharacter, so a character is trivial on ``sub`` exactly
-    when it is trivial on each generator; only those are tested.  Exact
-    integer arithmetic throughout; |sub| * |annihilator| = |G| always.
+    Only the generators of ``sub`` are tested.  Exact integer arithmetic
+    throughout; |sub| * |annihilator| = |G| always.
     """
-    group = sub.group
-    orders = group.orders
-    N = group.exponent
-    C = coords_matrix(orders)
-    scale = np.array([N // n for n in orders], dtype=np.int64)
-    gens = np.array([g.index for g in sub.generators], dtype=np.int64)
-    E = C @ (C[gens] * scale).T % N  # (|G|, number of generators)
-    return Subgroup.from_indices(group.dual(), np.flatnonzero(~E.any(axis=1)))
+    hits = _annihilated(sub.group.orders, [g.coords for g in sub.generators])
+    return Subgroup.from_indices(sub.group.dual(), hits)
 
 
 def lattice_volume(sub: Subgroup) -> Fraction:
@@ -448,8 +457,12 @@ def coset_transversal(group: FiniteLcaGroup, sub: Subgroup) -> list[GroupElement
     if sub.group != group:
         raise GroupShapeError("subgroup belongs to a different group")
     every = np.arange(group.cardinality)
-    reps = np.flatnonzero(_coset_minima(sub, every) == every)
-    return [group.element_by_index(int(i)) for i in reps]
+    return [group.element_by_index(int(i)) for i in _coset_leaders(sub, every)]
+
+
+def _coset_leaders(sub: Subgroup, xs: np.ndarray) -> np.ndarray:
+    """The indices in ``xs`` that are the smallest of their cosets of ``sub``."""
+    return xs[_coset_minima(sub, xs) == xs]
 
 
 def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:

@@ -275,6 +275,36 @@ class TestLatticeEquality:
             equal_count += oracle
         assert 0 < equal_count < 100  # both outcomes exercised
 
+    def test_non_unit_determinant_agrees_with_membership_oracle(self):
+        # R = diag(5, 1, ...) U has entries in Z(S) but det R is not a unit
+        # there, so only the determinant decides that R is not in GL_n(Z(S)).
+        rng = np.random.default_rng(2025)
+        S = PlaceSet((2, 3))
+
+        def contained(inner, outer):
+            return all(adeles.lattice_membership(g, outer).is_member
+                       for g in inner.generators())
+
+        outcomes = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            while True:
+                U = rmat(rng.integers(-3, 4, size=(n, n)).tolist())
+                if U.det != 0 and set(_prime_support(abs(U.det))) <= {2, 3}:
+                    break
+            while True:
+                A = rmat(rng.integers(-3, 4, size=(n, n)).tolist())
+                if A.det != 0:
+                    break
+            L1 = AdeleLattice(AdeleAutomorphism(S, A, {2: A, 3: A}))
+            R = rmat(np.diag([5 if rng.random() < 0.5 else 1] + [1] * (n - 1)).tolist()) @ U
+            L2 = AdeleLattice(L1.automorphism.compose(AdeleAutomorphism(S, R, {2: R, 3: R})))
+            oracle = contained(L1, L2) and contained(L2, L1)
+            assert adeles.lattice_equality(L1, L2) == oracle
+            assert oracle == (R.det == U.det)
+            outcomes.add(oracle)
+        assert outcomes == {True, False}
+
 
 def _prime_support(q: Fraction):
     out = set()

@@ -270,6 +270,21 @@ class TestRefusedInputs:
         self.assert_refused(capsys, "density-exhaust", "--group", "Z2",
                             "--windows", count, "--format", "json")
 
+    @pytest.mark.parametrize("argv", [
+        ["janssen-check", "--count", "0"],
+        ["janssen-check", "--count", "-3"],
+        ["sweep-window", "--group", "Z8", "--window", "gauss",
+         "--lattice", "plane-gens=((2),(0));((0),(2))", "--eps", ","],
+        ["sweep-critical", "--n-list", ","],
+    ])
+    def test_vacuous_experiment_refused(self, capsys, argv):
+        self.assert_refused(capsys, *argv)
+
+    def test_max_card_below_catalog(self, capsys):
+        code, out, err = run(capsys, "janssen-check", "--max-card", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "smallest catalog order 2" in err
+
 
 class TestWindowLiteral:
     def test_real_valued_pairs(self, capsys):

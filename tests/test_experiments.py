@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,3 +140,22 @@ class TestSeededInstances:
         h = gl.Window(G, np.array([0.1, 0.9, 0.2, 0.3], dtype=complex))
         bumped = ex.wexler_raz_flip_perturbation(h, size=1e-3)
         assert bumped.values[1] == pytest.approx(0.9 + 1e-3)
+
+
+class TestSweepScript:
+    def test_two_runs_are_bit_identical(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        path = filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        outputs = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, str(repo / "scripts" / "run_sweeps.py"), "--out", str(out),
+                 "--n-list", "2,3", "--eps", "0,0.01", "--density-groups", "Z2"],
+                env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0]) == {"critical_density_trend.csv", "window_stability.csv",
+                                   "density_exhaustive_Z2.csv", "summary.json"}

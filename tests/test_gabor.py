@@ -95,6 +95,38 @@ def separable_by_points(lam, dual_part):
     return TfLattice(lam.group, Subgroup.from_elements(plane, elems))
 
 
+def commutation_exponent_by_coords(z, w):
+    """Oracle: the exact commutation exponent summed one coordinate at a time."""
+    k = len(z.coords) // 2
+    x, omega = z.coords[:k], z.coords[k:]
+    y, tau = w.coords[:k], w.coords[k:]
+    grp = z.group
+    N = grp.exponent
+    e = 0
+    for i in range(k):
+        n = grp.orders[i]
+        e += (tau[i] * x[i] - omega[i] * y[i]) * (N // n)
+    return e % N, N
+
+
+def push_by_characters(group, finite_sub, lam, quot_vals, tol):
+    """Oracle for ``push_finite_subgroup``: the quotient Fourier transform
+    taken one character and one coset representative at a time."""
+    reps = gl.coset_transversal(group, finite_sub)
+    f_perp = gl.annihilator(finite_sub)
+    fhat = np.zeros(f_perp.order, dtype=np.complex128)
+    for j, ch in enumerate(f_perp.elements):
+        acc = 0.0 + 0.0j
+        for i, rep in enumerate(reps):
+            e, N = pairing_exponent(ch, rep)
+            acc += quot_vals[i] * np.exp(-2j * np.pi * (e / N))
+        fhat[j] = acc
+    fhat *= math.sqrt(finite_sub.order)
+    gamma, _ = gl.lift_finite_index(group.dual(), f_perp, fhat,
+                                    lam=gl.annihilator(lam), tol=tol)
+    return gl.inverse_fourier_transform(gamma)
+
+
 def gram_defect_of_vectors(group, vectors):
     V = np.array(vectors).T
     gram = float(group.weight) * (V.conj().T @ V)
@@ -258,6 +290,14 @@ class TestCommutation:
             wz = gl.tf_shift_plane(w, gl.tf_shift_plane(z, f))
             commutes = np.allclose(zw.values, wz.values, atol=1e-12)
             assert commutes == (abs(gl.commutation_defect(z, w) - 1) < 1e-12)
+
+
+    @pytest.mark.parametrize("orders", [(4,), (6,), (2, 2), (3, 4)])
+    def test_exponent_matches_coordinate_loop(self, orders):
+        points = list(FiniteLcaGroup(orders).plane().elements())
+        for z in points:
+            for w in points:
+                assert gl.gabor.commutation_exponent(z, w) == commutation_exponent_by_coords(z, w)
 
 
 class TestAdjointLattice:
@@ -817,6 +857,29 @@ class TestIndexArithmeticOracles:
             assert_verdict_flips_at(
                 lambda tol: gl.lift_finite_index(G, sub, vals, lam=lam, tol=tol), defect,
                 "input window is not an ONB generator")
+
+    def test_push_matches_character_loop_oracle(self):
+        s = 1 / math.sqrt(2)
+        G4, G8 = Z(4), Z(8)
+        F4 = gl.enumerate_subgroup(G4, [G4.element((2,))])
+        F8 = gl.enumerate_subgroup(G8, [G8.element((4,))])
+        lam8 = gl.enumerate_subgroup(G8, [G8.element((2,))])
+        cases = [(G4, gl.trivial_subgroup(G4), gl.full_subgroup(G4), [1.0, 0.0, 0.0, 0.0], 1e-9),
+                 (G4, F4, F4, [s, s], 1e-9), (G8, F8, lam8, [s, s, 0.0, 0.0], 1e-9)]
+        # Seeded quotient windows are not ONB generators: the Gram checks
+        # are switched off so that every transform is compared.
+        rng = rng_for(45)
+        for _ in range(15):
+            G = random_group(rng, max_card=16)
+            F = random_subgroup(G, rng)
+            extra = G.element_by_index(int(rng.integers(G.cardinality)))
+            lam = gl.enumerate_subgroup(G, list(F.generators) + [extra])
+            m = G.cardinality // F.order
+            cases.append((G, F, lam, rng.standard_normal(m) + 1j * rng.standard_normal(m), np.inf))
+        for G, F, lam, vals, tol in cases:
+            pushed, _ = gl.push_finite_subgroup(G, F, lam, vals, tol=tol)
+            slow = push_by_characters(G, F, lam, vals, tol)
+            assert np.max(np.abs(pushed.values - slow.values)) <= 1e-12
 
     def test_quotient_gram_check_matches_element_oracle(self):
         rng = rng_for(44)

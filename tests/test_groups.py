@@ -46,6 +46,15 @@ def annihilator_full_scan(sub):
     return Subgroup.from_elements(dual, [dual.element_by_index(int(i)) for i in hits])
 
 
+def pairing_exponent_by_coords(omega, x):
+    """Oracle: the exact pairing exponent summed one coordinate at a time."""
+    N = omega.group.exponent
+    e = 0
+    for w, c, n in zip(omega.coords, x.coords, omega.group.orders):
+        e += w * c * (N // n)
+    return e % N, N
+
+
 def closure_by_elements(group, generators):
     """Oracle: close a generating set one GroupElement at a time."""
     members = {group.zero().coords}
@@ -229,6 +238,14 @@ class TestPairing:
     def test_shape_mismatch(self):
         with pytest.raises(GroupShapeError):
             gl.pairing(FiniteLcaGroup((4,)).element((1,)), FiniteLcaGroup((5,)).element((1,)))
+
+    @pytest.mark.parametrize("group", [FiniteLcaGroup((4,)).plane(), FiniteLcaGroup((6,)).plane(),
+                                       FiniteLcaGroup((2, 2)).plane(), FiniteLcaGroup((3, 4))])
+    def test_exponent_matches_coordinate_loop(self, group):
+        points = list(group.elements())
+        for omega in points:
+            for x in points:
+                assert gl.groups.pairing_exponent(omega, x) == pairing_exponent_by_coords(omega, x)
 
 
 class TestSubgroups:
