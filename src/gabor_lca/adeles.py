@@ -68,16 +68,13 @@ class PlaceSet:
         return "{" + ",".join(str(p) for p in self.primes) + "}"
 
 
-def _denominator_supported(value: Fraction, primes: Sequence[int]) -> bool:
+def _in_z_s(value: Fraction, place_set: PlaceSet) -> bool:
+    """The denominator of value has no prime factor outside S."""
     den = value.denominator
-    for p in primes:
+    for p in place_set:
         while den % p == 0:
             den //= p
     return den == 1
-
-
-def _in_z_s(value: Fraction, place_set: PlaceSet) -> bool:
-    return _denominator_supported(Fraction(value), place_set.primes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +221,7 @@ def global_modular(auto: AdeleAutomorphism) -> ModularValue:
     return ModularValue(arch, finite)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AdeleVector:
     """Rational vector data at the infinite place and at every p in S."""
 
@@ -235,7 +232,7 @@ class AdeleVector:
     def __post_init__(self):
         inf = tuple(Fraction(v) for v in self.at_infinity)
         object.__setattr__(self, "at_infinity", inf)
-        comps = dict(self.finite if not isinstance(self.finite, Mapping) else self.finite.items())
+        comps = dict(self.finite)
         normalized = []
         for p in self.place_set:
             if p not in comps:
@@ -257,38 +254,19 @@ class AdeleVector:
                components: Mapping[int, Sequence[RationalLike]] | None = None,
                default: Sequence[RationalLike] | None = None) -> "AdeleVector":
         """Materialize a vector; places missing from ``components`` get ``default``."""
-        comps = dict(components or {})
-        full = {}
-        for p in place_set:
-            if p in comps:
-                full[p] = tuple(Fraction(v) for v in comps[p])
-            elif default is not None:
-                full[p] = tuple(Fraction(v) for v in default)
-            else:
-                raise PlaceDataError(f"no component given at p={p} and no default")
-        return cls(place_set, tuple(Fraction(v) for v in at_infinity),
-                   tuple(sorted(full.items())))
+        merged = dict.fromkeys(place_set, default) if default is not None else {}
+        merged.update(components or {})
+        return cls(place_set, at_infinity, merged)
 
     @classmethod
     def diagonal(cls, place_set: PlaceSet, values: Sequence[RationalLike]) -> "AdeleVector":
-        vec = tuple(Fraction(v) for v in values)
-        return cls.create(place_set, vec, default=vec)
+        return cls.create(place_set, values, default=values)
 
     def component(self, p: int) -> tuple[Fraction, ...]:
         for q, vec in self.finite:
             if q == p:
                 return vec
         raise PlaceDataError(f"p={p} is outside the place set {self.place_set}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AdeleVector):
-            return NotImplemented
-        return (self.place_set == other.place_set
-                and self.at_infinity == other.at_infinity
-                and self.finite == other.finite)
-
-    def __hash__(self) -> int:
-        return hash((self.place_set, self.at_infinity, self.finite))
 
 
 @dataclass(frozen=True)
@@ -321,8 +299,8 @@ class AdeleLattice:
                 raise PlaceDataError(f"{v} is not in Z(S) for S={self.place_set}")
         auto = self.automorphism
         inf = auto._exact_a_inf().apply(qv)
-        comps = {p: auto.component(p).apply(qv) for p in self.place_set}
-        return AdeleVector.create(self.place_set, inf, comps, default=tuple(qv))
+        return AdeleVector(self.place_set, inf,
+                           {p: auto.component(p).apply(qv) for p in self.place_set})
 
     def generators(self) -> list[AdeleVector]:
         n = self.dim
@@ -363,20 +341,24 @@ def lattice_membership(x: AdeleVector, lattice: AdeleLattice) -> MembershipResul
 
 
 def lattice_equality(a: AdeleLattice, b: AdeleLattice) -> bool:
-    """A1 Z(S)^n = A2 Z(S)^n iff A1^{-1} A2 has one common rational component
-    R at every place with R in GL_n(Z(S)): by the adjugate formula, exactly
-    when the entries of R and 1/det R lie in Z(S)."""
+    """A1 Z(S)^n = A2 Z(S)^n iff A1^{-1} A2 is one rational matrix R at every
+    place with R in GL_n(Z(S)): by the adjugate formula, exactly when the
+    entries of R and 1/det R = det A1_inf / det A2_inf lie in Z(S).
+
+    R comes from one exact solve A1_inf R = A2_inf; each finite place then
+    only checks A1_p R = A2_p.
+    """
     if a.place_set != b.place_set:
         raise PlaceDataError("lattices use different place sets")
     if a.dim != b.dim:
         return False
-    m = a.automorphism.inverse().compose(b.automorphism)
-    r = m._exact_a_inf()
-    for p in a.place_set:
-        if m.component(p) != r:
-            return False
-    return _in_z_s(1 / r.det, a.place_set) and all(
-        _in_z_s(v, a.place_set) for row in r.entries for v in row)
+    a1, a2 = a.automorphism._exact_a_inf(), b.automorphism._exact_a_inf()
+    r = RationalMatrix(a1._eliminate(a2.entries)[1])
+    if not (_in_z_s(a1.det / a2.det, a.place_set)
+            and all(_in_z_s(v, a.place_set) for row in r.entries for v in row)):
+        return False
+    return all(a.automorphism.component(p) @ r == b.automorphism.component(p)
+               for p in a.place_set)
 
 
 # --- Balian-Low classification ----------------------------------------------
@@ -408,15 +390,16 @@ def parse_lca_group_spec(text: str) -> LcaGroupDescription:
     kind = "adele" if m.group(1) == "A_Q" else "local"
     primes: tuple[int, ...] = ()
     n = 1
+    seen = set()
     for item in m.group(2).split(";"):
         item = item.strip()
         if not item:
             continue
         key, _, value = item.partition("=")
         key = key.strip()
-        value = value.strip()
+        _refuse_repeated(key, seen)
         if key == "S":
-            primes = tuple(certify_prime(int(v)) for v in value.split(",") if v.strip() != "")
+            primes = PlaceSet(tuple(int(v) for v in value.split(",") if v.strip() != "")).primes
         elif key == "n":
             n = int(value)
         else:
@@ -425,7 +408,7 @@ def parse_lca_group_spec(text: str) -> LcaGroupDescription:
         raise ValueError("n must be >= 1")
     if kind == "local" and not primes:
         raise ValueError("Q_S needs a nonempty place set")
-    return LcaGroupDescription(kind, n, tuple(sorted(set(primes))))
+    return LcaGroupDescription(kind, n, primes)
 
 
 @dataclass(frozen=True)
@@ -556,6 +539,13 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
 
 # --- automorphism documents ---------------------------------------------------
 
+def _refuse_repeated(key: str | int, seen: set) -> None:
+    """Record key; an earlier item of the same text must not have used it."""
+    if key in seen:
+        raise ValueError(f"repeated key {key!r}")
+    seen.add(key)
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -585,6 +575,7 @@ def parse_automorphism_document(text: str,
     a_inf: RationalMatrix | None = None
     finite: dict[int, RationalMatrix] = {}
     primes: tuple[int, ...] | None = None
+    seen = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -593,7 +584,9 @@ def parse_automorphism_document(text: str,
         if not sep:
             raise ValueError(f"expected 'key = value', got {raw!r}")
         key = key.strip()
-        value = value.strip()
+        if re.fullmatch(r"A\d+", key):
+            key = f"A{int(key[1:])}"
+        _refuse_repeated("Ainf" if key == "A_inf" else key, seen)
         if key == "S":
             primes = tuple(int(v) for v in value.split(",") if v.strip() != "")
         elif key in ("Ainf", "A_inf"):

@@ -152,22 +152,20 @@ def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVec
         values = [adeles._parse_rational(v)
                   for v in body[len("diag="):].strip().strip("()").split(",")]
         return adeles.AdeleVector.diagonal(place_set, values)
-    inf = None
     comps = {}
-    default = None
+    seen = set()
     for item in body.split(";"):
         item = item.strip()
         if not item:
             continue
         key, _, value = item.partition("=")
-        vec = [adeles._parse_rational(v) for v in value.strip().strip("()").split(",")]
         key = key.strip()
-        if key == "inf":
-            inf = vec
-        elif key == "default":
-            default = vec
-        else:
-            comps[int(key)] = vec
+        if key not in ("inf", "default"):
+            key = int(key)
+        adeles._refuse_repeated(key, seen)
+        comps[key] = [adeles._parse_rational(v) for v in value.strip().strip("()").split(",")]
+    inf = comps.pop("inf", None)
+    default = comps.pop("default", None)
     if inf is None:
         raise ValueError("adele vector needs an inf=(...) component")
     return adeles.AdeleVector.create(place_set, inf, comps, default=default)

@@ -15,6 +15,7 @@ from .gabor import (
     TfLattice,
     Window,
     _adjoint_coefficients,
+    _hermitian_frame_operator,
     adjoint_lattice,
     frame_bounds,
     frame_operator,
@@ -94,7 +95,7 @@ def window_stability_sweep(g: Window, delta: TfLattice,
     eps_values = [float(e) for e in eps_values]
     if not eps_values or any(b <= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps grid must be non-empty and strictly increasing")
-    base_report = frame_bounds(g, delta)
+    S_base, base_report = _hermitian_frame_operator(g, delta)
     if not base_report.is_frame:
         raise ValueError("stability sweep needs a frame to start from")
     rng = np.random.default_rng(seed)
@@ -102,14 +103,12 @@ def window_stability_sweep(g: Window, delta: TfLattice,
     direction = direction * (1.0 / s0_norm(direction, g))
     adj = adjoint_lattice(delta)
     inv_vol = 1.0 / float(delta.volume)
-    S_base = frame_operator(g, g, delta)
 
     rows = []
     bound_ok = True
     for eps in eps_values:
         perturbed = g + float(eps) * direction
-        report = frame_bounds(perturbed, delta)
-        S_pert = frame_operator(perturbed, perturbed, delta)
+        S_pert, report = _hermitian_frame_operator(perturbed, delta)
         measured = float(np.linalg.norm(S_pert - S_base, 2))
         diff = perturbed - g
         coeffs = (_adjoint_coefficients(diff, perturbed, adj)

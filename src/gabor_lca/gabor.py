@@ -391,7 +391,8 @@ class FrameReport:
 
 
 def _hermitian_frame_operator(g: Window, delta: TfLattice,
-                              tol_ratio: float) -> tuple[np.ndarray, FrameReport]:
+                              tol_ratio: float = FRAME_TOLERANCE_RATIO
+                              ) -> tuple[np.ndarray, FrameReport]:
     """The symmetrized frame operator of g and the report of its spectrum."""
     S = frame_operator(g, g, delta)
     S = 0.5 * (S + S.conj().T)

@@ -128,7 +128,7 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -136,8 +136,7 @@ class RationalMatrix:
 
     @classmethod
     def scalar(cls, n: int, value: RationalLike) -> "RationalMatrix":
-        v = Fraction(value)
-        return cls.from_rows([[v if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_rows([[value if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def n_rows(self) -> int:
@@ -170,52 +169,58 @@ class RationalMatrix:
         return tuple(sum((self.entries[i][k] * vec[k] for k in range(self.n_cols)),
                          Fraction(0)) for i in range(self.n_rows))
 
-    @cached_property
-    def det(self) -> Fraction:
+    def _eliminate(self, rhs: Sequence[Sequence[Fraction | int]]
+                   ) -> tuple[Fraction, list[list[Fraction]] | None]:
+        """(det A, A^-1 rhs), or (0, None) when A is singular: forward
+        elimination on [A | rhs] with the first nonzero pivot of each column,
+        then back substitution into the rhs columns only, so an rhs with empty
+        rows costs what the determinant alone costs."""
         if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
+            raise ValueError("determinant, inverse and solve need a square matrix")
         n = self.n_rows
-        m = [list(row) for row in self.entries]
+        m = [list(row) + list(extra) for row, extra in zip(self.entries, rhs)]
         det = Fraction(1)
         for col in range(n):
             pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return Fraction(0), None
             if pivot != col:
                 m[col], m[pivot] = m[pivot], m[col]
                 det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                factor = m[r][col] * inv
-                if factor == 0:
-                    continue
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-        return det
+            top = m[col]
+            det *= top[col]
+            for row in m[col + 1:]:
+                factor = row[col] / top[col]
+                if factor != 0:
+                    row[col + 1:] = [a - factor * b for a, b in zip(row[col + 1:], top[col + 1:])]
+        x = [row[n:] for row in m]
+        for i in reversed(range(n)):
+            row = m[i]
+            for j in range(i + 1, n):
+                if row[j] != 0:
+                    x[i] = [a - row[j] * b for a, b in zip(x[i], x[j])]
+            x[i] = [v / row[i] for v in x[i]]
+        return det, x
+
+    @cached_property
+    def det(self) -> Fraction:
+        return self._eliminate([()] * self.n_rows)[0]
 
     def inverse(self) -> "RationalMatrix":
-        if not self.is_square:
-            raise ValueError("inverse of a non-square matrix")
         n = self.n_rows
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [v * inv for v in m[col]]
-            for r in range(n):
-                if r == col or m[r][col] == 0:
-                    continue
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-        return RationalMatrix.from_rows([row[n:] for row in m])
+        _, x = self._eliminate([[int(i == j) for j in range(n)] for i in range(n)])
+        if x is None:
+            raise SingularMatrixError("matrix is singular")
+        return RationalMatrix(x)
 
     def solve(self, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        return self.inverse().apply(vector)
+        """The exact q with A q = vector."""
+        if len(vector) != self.n_cols:
+            raise ValueError("vector length does not match")
+        _, x = self._eliminate([[Fraction(v)] for v in vector])
+        if x is None:
+            raise SingularMatrixError("matrix is singular")
+        return tuple(row[0] for row in x)
 
     def __str__(self) -> str:
         return "[" + ", ".join(

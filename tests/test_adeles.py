@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import gabor_lca as gl
 from gabor_lca import adeles
@@ -209,6 +211,24 @@ class TestAdeleVector:
             AdeleVector(S, (Fraction(1),), ((2, (Fraction(1),)), (5, (Fraction(1),))))
 
 
+class TestAdeleVectorCreate:
+    def test_component_outside_place_set_rejected(self):
+        S = PlaceSet((2, 3))
+        with pytest.raises(PlaceDataError):
+            AdeleVector.create(S, [1], {5: [1]}, default=[1])
+
+    def test_components_override_default(self):
+        S = PlaceSet((2, 3, 5))
+        v = AdeleVector.create(S, ["1/2"], {3: [2]}, default=[7])
+        assert v == AdeleVector(S, (Fraction(1, 2),),
+                                ((2, (Fraction(7),)), (3, (Fraction(2),)), (5, (Fraction(7),))))
+        assert hash(v) == hash(AdeleVector(S, [Fraction(1, 2)], {2: [7], 3: [2], 5: [7]}))
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(PlaceDataError):
+            AdeleVector.create(PlaceSet((2,)), [1, 2], default=[1])
+
+
 class TestLatticeEquality:
     def test_reflexive(self):
         S = PlaceSet((2,))
@@ -320,6 +340,93 @@ def _prime_support(q: Fraction):
         if n > 1:
             out.add(n)
     return out
+
+
+def lattice_equality_by_inverse(a, b):
+    """Oracle: compose A1^{-1} with A2 at every place, then test that the
+    common component R lies in GL_n(Z(S))."""
+    if a.dim != b.dim:
+        return False
+    m = a.automorphism.inverse().compose(b.automorphism)
+    r = m._exact_a_inf()
+    if any(m.component(p) != r for p in a.place_set):
+        return False
+    return adeles._in_z_s(1 / r.det, a.place_set) and all(
+        adeles._in_z_s(v, a.place_set) for row in r.entries for v in row)
+
+
+def generator_oracle_cases():
+    """The 100 seeded pairs of ``test_agrees_with_generator_membership_oracle``."""
+    rng = np.random.default_rng(2024)
+    S = PlaceSet((2, 3))
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+
+        def random_exact(unit=False):
+            while True:
+                M = rmat(rng.integers(-3, 4, size=(n, n)).tolist())
+                if M.det == 0:
+                    continue
+                if not unit or set(_prime_support(abs(M.det))) <= {2, 3}:
+                    return M
+
+        auto_a = AdeleAutomorphism(S, random_exact(), {2: random_exact(), 3: random_exact()})
+        if rng.random() < 0.5:
+            R = random_exact(unit=True)
+            auto_b = auto_a.compose(AdeleAutomorphism(S, R, {2: R, 3: R}))
+        else:
+            auto_b = AdeleAutomorphism(S, random_exact(), {2: random_exact(), 3: random_exact()})
+        yield AdeleLattice(auto_a), AdeleLattice(auto_b)
+
+
+def non_unit_determinant_cases():
+    """The 40 seeded pairs of ``test_non_unit_determinant_agrees_with_membership_oracle``."""
+    rng = np.random.default_rng(2025)
+    S = PlaceSet((2, 3))
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        while True:
+            U = rmat(rng.integers(-3, 4, size=(n, n)).tolist())
+            if U.det != 0 and set(_prime_support(abs(U.det))) <= {2, 3}:
+                break
+        while True:
+            A = rmat(rng.integers(-3, 4, size=(n, n)).tolist())
+            if A.det != 0:
+                break
+        L1 = AdeleLattice(AdeleAutomorphism(S, A, {2: A, 3: A}))
+        R = rmat(np.diag([5 if rng.random() < 0.5 else 1] + [1] * (n - 1)).tolist()) @ U
+        yield L1, AdeleLattice(L1.automorphism.compose(AdeleAutomorphism(S, R, {2: R, 3: R})))
+
+
+class TestLatticeEqualityOracle:
+    @pytest.mark.parametrize("cases", [generator_oracle_cases, non_unit_determinant_cases])
+    def test_same_verdicts_as_composed_inverse(self, cases):
+        verdicts = []
+        for L1, L2 in cases():
+            verdict = adeles.lattice_equality(L1, L2)
+            assert verdict == lattice_equality_by_inverse(L1, L2)
+            assert adeles.lattice_equality(L2, L1) == verdict
+            verdicts.append(verdict)
+        assert len(verdicts) in (100, 40) and set(verdicts) == {True, False}
+
+    def test_builds_no_automorphism(self, monkeypatch):
+        L1, L2 = next(generator_oracle_cases())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lattice_equality built an automorphism")
+
+        monkeypatch.setattr(AdeleAutomorphism, "__post_init__", refuse)
+        monkeypatch.setattr(RationalMatrix, "inverse", refuse)
+        adeles.lattice_equality(L1, L2)
+
+    def test_float_a_inf_rejected(self):
+        S = PlaceSet((2,))
+        exact = AdeleLattice.standard(1, S)
+        floating = AdeleLattice(AdeleAutomorphism(S, np.eye(1)))
+        with pytest.raises(PlaceDataError):
+            adeles.lattice_equality(exact, floating)
+        with pytest.raises(PlaceDataError):
+            adeles.lattice_equality(floating, exact)
 
 
 class TestBalianLowClassifier:
@@ -470,6 +577,36 @@ class TestAutomorphismDocuments:
     def test_component_outside_s_rejected(self):
         with pytest.raises(PlaceDataError):
             parse_automorphism_document("S = 2\nAinf = [[1]]\nA5 = [[5]]\n")
+
+
+rational_entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def exact_automorphisms(draw):
+    primes = draw(st.lists(st.sampled_from([2, 3, 5]), unique=True))
+    n = draw(st.integers(1, 3))
+
+    def invertible():
+        rows = draw(st.lists(st.lists(rational_entries, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        M = rmat(rows)
+        assume(M.det != 0)
+        return M
+
+    stored = draw(st.lists(st.sampled_from(primes), unique=True)) if primes else []
+    return AdeleAutomorphism(PlaceSet(tuple(primes)), invertible(),
+                             {p: invertible() for p in stored})
+
+
+class TestAutomorphismDocumentRoundTrip:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(exact_automorphisms())
+    def test_format_then_parse_is_identity(self, auto):
+        parsed = parse_automorphism_document(format_automorphism_document(auto))
+        assert parsed.place_set == auto.place_set
+        assert parsed.a_inf == auto.a_inf
+        assert parsed.finite == auto.finite
 
 
 class TestTransferenceLattice:

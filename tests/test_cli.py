@@ -286,6 +286,65 @@ class TestRefusedInputs:
         assert err.startswith("error:") and "smallest catalog order 2" in err
 
 
+class TestRepeatedKeys:
+    """A key given twice is refused instead of the last value winning."""
+
+    assert_refused = TestRefusedInputs.assert_refused
+
+    @pytest.mark.parametrize("document", [
+        "S = 2\nAinf = [[1]]\nA2 = [[2]]\nA2 = [[1]]\n",
+        "S = 2\nAinf = [[1]]\nA2 = [[2]]\nA02 = [[1]]\n",
+        "S = 2\nAinf = [[1]]\nAinf = [[2]]\n",
+        "S = 2\nAinf = [[1]]\nA_inf = [[2]]\n",
+        "S = 2\nS = 3\nAinf = [[1]]\n",
+        "S = 2,2\nAinf = [[1]]\n",
+    ])
+    def test_automorphism_document(self, capsys, tmp_path, document):
+        path = tmp_path / "auto.txt"
+        path.write_text(document, encoding="utf-8")
+        self.assert_refused(capsys, "adele-vol", "--file", str(path))
+
+    @pytest.mark.parametrize("vector", [
+        "inf=(1,2); inf=(3,1/5); default=(1,2)",
+        "inf=(1,2); 2=(1,2); 2=(3,4); default=(1,2)",
+        "inf=(1,2); 2=(1,2); 02=(3,4); default=(1,2)",
+        "inf=(1,2); default=(1,2); default=(3,4)",
+    ])
+    def test_adele_vector(self, capsys, tmp_path, vector):
+        path = tmp_path / "auto.txt"
+        path.write_text("S = 2,3\nAinf = [[1,0],[0,1]]\n", encoding="utf-8")
+        self.assert_refused(capsys, "adele-member", "--file", str(path), "--vector", vector)
+
+    @pytest.mark.parametrize("spec", [
+        "A_Q{S=2;S=3;n=1;n=2}",
+        "A_Q{S=2;n=1;n=2}",
+        "A_Q{S=2,2,3;n=2}",
+        "Q_S{S=3;S=3;n=1}",
+    ])
+    def test_group_spec(self, capsys, spec):
+        self.assert_refused(capsys, "blt-classify", spec)
+
+    def test_single_keys_still_accepted(self, capsys, tmp_path):
+        path = tmp_path / "auto.txt"
+        path.write_text("S = 2,3\nAinf = [[1,0],[0,1]]\nA02 = [[1,0],[0,1]]\n",
+                        encoding="utf-8")
+        code, payload = run_json(capsys, "adele-member", "--file", str(path),
+                                 "--vector", "inf=(1,2); 2=(1,2); default=(1,2)")
+        assert code == 0 and payload["is_member"] is True
+        code, payload = run_json(capsys, "blt-classify", "A_Q{S=3,2; n=2}")
+        assert code == 0 and payload["real_dimension"] == 2
+
+
+class TestVectorComponentOutsidePlaceSet:
+    def test_refused(self, capsys, tmp_path):
+        path = tmp_path / "auto.txt"
+        path.write_text("S = 2,3\nAinf = [[1,0],[0,1]]\n", encoding="utf-8")
+        code, out, err = run(capsys, "adele-member", "--file", str(path),
+                             "--vector", "inf=(1,2); 5=(1,2); default=(1,2)")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "outside the place set" in err
+
+
 class TestWindowLiteral:
     def test_real_valued_pairs(self, capsys):
         code, payload = run_json(capsys, "frame-bounds", "--group", "Z2",

@@ -68,6 +68,24 @@ class TestWindowStabilitySweep:
         b = ex.window_stability_sweep(g, delta, [0.0, 0.01], seed=3).to_csv()
         assert a == b
 
+    def test_rows_match_separate_frame_bounds_and_operator(self):
+        # Oracle: the route that assembled S twice per grid point, once in
+        # frame_bounds and once, unsymmetrized, through frame_operator.
+        g, delta = self.make()
+        eps_values = [0.0, 0.01, 0.02]
+        report = ex.window_stability_sweep(g, delta, eps_values, seed=4)
+        direction = gl.random_window(g.group, np.random.default_rng(4))
+        direction = direction * (1.0 / gl.s0_norm(direction, g))
+        S_base = gl.frame_operator(g, g, delta)
+        for eps, row in zip(eps_values, report.rows):
+            perturbed = g + eps * direction
+            bounds = gl.frame_bounds(perturbed, delta)
+            measured = np.linalg.norm(gl.frame_operator(perturbed, perturbed, delta) - S_base, 2)
+            assert abs(row[1] - bounds.lower) <= 1e-12
+            assert abs(row[2] - bounds.upper) <= 1e-12
+            assert row[3] == bounds.is_frame
+            assert abs(row[4] - measured) <= 1e-12
+
     def test_requires_frame(self):
         g = ex.periodized_gaussian(4)  # symmetric: singular at critical density
         lam = gl.enumerate_subgroup(g.group, [g.group.element((2,))])

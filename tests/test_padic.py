@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,112 @@ class TestRationalMatrix:
         assert A.det == 0
         with pytest.raises(SingularMatrixError):
             A.inverse()
+
+
+def det_by_forward_elimination(A):
+    """Oracle: the determinant by its own forward-elimination pass."""
+    n = A.n_rows
+    m = [list(row) for row in A.entries]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if factor == 0:
+                continue
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def inverse_by_gauss_jordan(A):
+    """Oracle: the inverse by Gauss-Jordan on [A | I]."""
+    n = A.n_rows
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A.entries)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r == col or m[r][col] == 0:
+                continue
+            factor = m[r][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return RationalMatrix.from_rows([row[n:] for row in m])
+
+
+def seeded_matrices(seed, count):
+    """Rational matrices with n <= 8: dense ones, ones whose leading column
+    starts with zeros (row swaps), and singular ones (a repeated combination)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(1, 9))
+        rows = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(n)]
+                for _ in range(n)]
+        kind = k % 3
+        if kind == 1 and n > 1:
+            for r in range(int(rng.integers(1, n))):
+                rows[r][0] = Fraction(0)
+        elif kind == 2 and n > 1:
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            c = Fraction(int(rng.integers(-3, 4)), 2)
+            rows[j] = [c * v for v in rows[i]]
+        out.append(RationalMatrix.from_rows(rows))
+    return out
+
+
+class TestEliminationOracles:
+    def test_det_inverse_solve_match_oracles(self):
+        rng = np.random.default_rng(11)
+        swapped = singular = 0
+        for A in seeded_matrices(10, 150):
+            det = det_by_forward_elimination(A)
+            assert A.det == det
+            vec = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+                   for _ in range(A.n_rows)]
+            swapped += A.entries[0][0] == 0 and det != 0
+            if det == 0:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    A.inverse()
+                with pytest.raises(SingularMatrixError):
+                    A.solve(vec)
+                continue
+            inv = inverse_by_gauss_jordan(A)
+            assert A.inverse() == inv
+            assert A.solve(vec) == inv.apply(vec)
+        assert swapped >= 10 and singular >= 10
+
+    def test_non_square_refused(self):
+        A = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError):
+            A.det
+        with pytest.raises(ValueError):
+            A.inverse()
+        with pytest.raises(ValueError):
+            A.solve([1, 2])
+
+    def test_solve_length_checked(self):
+        with pytest.raises(ValueError):
+            RationalMatrix.identity(2).solve([1, 2, 3])
+
+    def test_from_rows_normalizes_once(self):
+        A = RationalMatrix.from_rows([[1, "1/2"], [Fraction(3, 4), 0]])
+        assert A.entries == ((Fraction(1), Fraction(1, 2)), (Fraction(3, 4), Fraction(0)))
+        assert all(type(v) is Fraction for row in A.entries for v in row)
+        assert A == RationalMatrix(((1, "1/2"), ("3/4", 0)))
 
 
 class TestGlnZp:
