@@ -1,9 +1,12 @@
 """S-adeles over the rationals as exact data: diagonal automorphisms, lattices
-A * Z(S)^n, membership and equality tests, global modular values, the
-Balian-Low classifier and the finite transference harness.
+A * Z(S)^n, membership and equality tests, global modular values and the
+Balian-Low classifier.
 
 Only finitely many places are ever materialized; every unstored component is
 the identity (automorphisms) or integral (vectors) by construction.
+
+The exact path imports no numpy: only a float A_inf and a finite group spec
+load it, inside the functions that need them.
 """
 
 from __future__ import annotations
@@ -11,28 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
-from .gabor import (
-    TfLattice,
-    Window,
-    _adjoint_coefficients,
-    _product_lattice,
-    adjoint_lattice,
-    frame_operator,
-    indicator_window,
-)
-from .groups import (
-    FiniteLcaGroup,
-    GroupShapeError,
-    Subgroup,
-    annihilator,
-    coords_matrix,
-    enumerate_subgroup,
-    parse_group_spec,
-)
 from .padic import (
     RationalLike,
     RationalMatrix,
@@ -40,6 +23,21 @@ from .padic import (
     certify_prime,
     padic_abs,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: The finite transference harness lives in ``gabor``.  These names stay
+#: reachable from here through ``__getattr__``, which binds nothing in this
+#: module, so a wrapper installed on ``gabor`` is the object returned.
+_HARNESS = ("TransferenceResult", "compact_open_surrogate", "finite_transference_check")
+
+
+def __getattr__(name: str):
+    if name in _HARNESS:
+        from . import gabor
+        return getattr(gabor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PlaceDataError(ValueError):
@@ -98,6 +96,7 @@ class AdeleAutomorphism:
             if a_inf.det == 0:
                 raise SingularMatrixError("A_inf is singular")
         else:
+            import numpy as np
             a_inf = np.ascontiguousarray(a_inf, dtype=np.float64)
             if a_inf.ndim != 2 or a_inf.shape[0] != a_inf.shape[1]:
                 raise ValueError("A_inf must be square")
@@ -169,12 +168,14 @@ class AdeleAutomorphism:
         if self.is_exact:
             a_inf: RationalMatrix | np.ndarray = self.a_inf.inverse()
         else:
+            import numpy as np
             a_inf = np.linalg.inv(self.a_inf)
         finite = tuple((p, mat.inverse()) for p, mat in self.finite)
         return AdeleAutomorphism(self.place_set, a_inf, finite)
 
 
 def _float_matrix(m: RationalMatrix | np.ndarray) -> np.ndarray:
+    import numpy as np
     if isinstance(m, RationalMatrix):
         return np.array([[float(v) for v in row] for row in m.entries])
     return m
@@ -214,6 +215,7 @@ def global_modular(auto: AdeleAutomorphism) -> ModularValue:
     if auto.is_exact:
         arch: Fraction | float = abs(auto.a_inf.det)
     else:
+        import numpy as np
         arch = float(abs(np.linalg.det(auto.a_inf)))
     finite = Fraction(1)
     for p, mat in auto.finite:
@@ -232,7 +234,12 @@ class AdeleVector:
     def __post_init__(self):
         inf = tuple(Fraction(v) for v in self.at_infinity)
         object.__setattr__(self, "at_infinity", inf)
-        comps = dict(self.finite)
+        comps = {}
+        for p, vec in (self.finite.items() if isinstance(self.finite, Mapping)
+                       else self.finite):
+            if p in comps:
+                raise PlaceDataError(f"duplicate component at p={p}")
+            comps[p] = vec
         normalized = []
         for p in self.place_set:
             if p not in comps:
@@ -385,6 +392,7 @@ def parse_lca_group_spec(text: str) -> LcaGroupDescription:
     body = text.strip()
     m = _SPEC_RE.match(body)
     if m is None:
+        from .groups import parse_group_spec
         parse_group_spec(body)  # raises ValueError on garbage
         return LcaGroupDescription("finite", 1)
     kind = "adele" if m.group(1) == "A_Q" else "local"
@@ -460,81 +468,6 @@ def deformation_margin(lattice: AdeleLattice) -> float:
     if vol == 1:
         return 0.0
     return float(1 / Fraction(vol)) ** (1.0 / lattice.dim) - 1.0
-
-
-# --- finite transference harness --------------------------------------------
-
-@dataclass(frozen=True)
-class TransferenceResult:
-    """Both sides of the dual-pair equivalence, each checked by brute force."""
-
-    base_is_dual_pair: bool
-    base_residual: float
-    product_is_dual_pair: bool
-    product_residual: float
-    volume: Fraction
-
-    @property
-    def equivalent(self) -> bool:
-        return self.base_is_dual_pair == self.product_is_dual_pair
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-
-def compact_open_surrogate(M: int, d: int) -> tuple[FiniteLcaGroup, Subgroup, Subgroup]:
-    """H = Z/M with mass 1/|K| per point, K = d*Z/M and its annihilator.
-
-    K models the maximal compact-open subgroup (integers) inside a local
-    field: Z/M plays a two-sided truncation of Q_p and K its unit ball, with
-    Haar measure normalized so the ball has mass 1.
-    """
-    if d <= 0 or M % d != 0:
-        raise ValueError(f"d = {d} must be a positive divisor of M = {M}")
-    H = FiniteLcaGroup((M,), Fraction(d, M))
-    K = enumerate_subgroup(H, [H.element((d % M,))])
-    return H, K, annihilator(K)
-
-
-def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
-                              M: int, d: int, tol: float = 1e-9) -> TransferenceResult:
-    """Dual-pair transference between a base group and its product with a
-    compact-open surrogate.
-
-    Base side: the frame-type operator of (g, h) over delta1 equals the
-    identity.  Product side: with g~ = g (x) 1_K and h~ = h (x) 1_K over
-    delta1 x (K x K_perp), the biorthogonality <g~, pi(z) h~> =
-    vol(delta1) * [base part of z is 0] holds across the product adjoint.
-    The indicator inner products collapse the product condition onto the base
-    one, so the two verdicts agree.
-    """
-    base = g.group
-    if h.group != base or delta1.base_group != base:
-        raise GroupShapeError("windows and lattice must share one base group")
-    _, K, K_perp = compact_open_surrogate(M, d)
-    one_k = indicator_window(K)
-
-    S1 = frame_operator(g, h, delta1)
-    base_residual = float(np.max(np.abs(S1 - np.eye(base.cardinality))))
-    base_ok = base_residual <= tol
-
-    product_lattice = _product_lattice(delta1, TfLattice.separable(K, K_perp))
-    product = product_lattice.base_group
-    g_t = Window(product, np.kron(g.values, one_k.values))
-    h_t = Window(product, np.kron(h.values, one_k.values))
-    vol = delta1.volume
-    assert product_lattice.volume == vol
-
-    adj = adjoint_lattice(product_lattice)
-    k = base.rank
-    coords = coords_matrix(adj.subgroup.group.orders)[adj.subgroup.index_array]
-    base_part_zero = ~coords[:, :k].any(axis=1) & ~coords[:, k + 1:2 * k + 1].any(axis=1)
-    target = np.where(base_part_zero, float(vol), 0.0)
-    values = _adjoint_coefficients(g_t, h_t, adj)
-    product_residual = float(np.max(np.abs(values - target)))
-    product_ok = product_residual <= tol
-
-    return TransferenceResult(base_ok, base_residual, product_ok, product_residual, vol)
 
 
 # --- automorphism documents ---------------------------------------------------

@@ -10,24 +10,23 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+# Only the exact layer is imported here, so that the exact subcommands start
+# without numpy.  The float handlers and the literal parsers import numpy,
+# groups, gabor, zak and experiments where they use them.
+from . import adeles, padic
 
-from . import adeles, experiments, gabor, padic, zak as zak_mod
-from .groups import (
-    FiniteLcaGroup,
-    GroupShapeError,
-    coords_matrix,
-    parse_coord_tuples,
-    parse_group_spec,
-    parse_subgroup_spec,
-)
+if TYPE_CHECKING:
+    from . import experiments, gabor
+    from .groups import FiniteLcaGroup
 
 
 def _json_default(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.floating, np.integer)):
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None and isinstance(value, (np.floating, np.integer)):
         return value.item()
     raise TypeError(f"not JSON-serializable: {value!r}")
 
@@ -45,12 +44,17 @@ def _fail(message: str) -> int:
 
 def parse_window_literal(group: FiniteLcaGroup, text: str) -> gabor.Window:
     """'delta0', 'gauss', 'const', or 'values=(re,im),(re,im),...'."""
+    import numpy as np
+
+    from . import gabor
+    from .groups import FiniteLcaGroup, parse_coord_tuples
     body = text.strip()
     if body == "delta0":
         return gabor.delta_window(group)
     if body == "const":
         return gabor.constant_window(group).normalized()
     if body == "gauss":
+        from . import experiments  # the other literals need no import of it
         win = None
         for n in group.orders:
             factor = experiments.periodized_gaussian(n)
@@ -98,6 +102,8 @@ def parse_lattice_literal(group: FiniteLcaGroup, text: str) -> gabor.TfLattice:
     (flat 2k-coordinate tuples are accepted too); 'plane-gens=(())' has no
     generators and is the trivial lattice.
     """
+    from . import gabor
+    from .groups import parse_coord_tuples, parse_subgroup_spec
     body = text.strip()
     if body == "time-axis":
         return gabor.TfLattice.time_axis(group)
@@ -174,6 +180,8 @@ def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVec
 # --- command handlers ----------------------------------------------------------
 
 def _cmd_frame_bounds(args) -> int:
+    from . import gabor
+    from .groups import parse_group_spec
     group = parse_group_spec(args.group)
     g = parse_window_literal(group, args.window)
     delta = parse_lattice_literal(group, args.lattice)
@@ -185,6 +193,7 @@ def _cmd_frame_bounds(args) -> int:
 
 
 def _cmd_janssen_check(args) -> int:
+    from . import experiments
     defect = experiments.janssen_max_defect(args.count, args.seed, args.max_card)
     ok = defect <= args.tol
     _emit({"instances": args.count, "seed": args.seed, "max_defect": defect,
@@ -193,6 +202,8 @@ def _cmd_janssen_check(args) -> int:
 
 
 def _cmd_wexler_raz(args) -> int:
+    from . import gabor
+    from .groups import parse_group_spec
     group = parse_group_spec(args.group)
     g = parse_window_literal(group, args.window)
     delta = parse_lattice_literal(group, args.lattice)
@@ -207,6 +218,8 @@ def _cmd_wexler_raz(args) -> int:
 
 
 def _cmd_adjoint(args) -> int:
+    from . import gabor
+    from .groups import coords_matrix, parse_group_spec
     group = parse_group_spec(args.group)
     delta = parse_lattice_literal(group, args.lattice)
     adj = gabor.adjoint_lattice(delta)
@@ -221,14 +234,17 @@ def _cmd_adjoint(args) -> int:
 def _zak_of_args(args):
     """The Zak grid named by the arguments, its minimum modulus with an
     attaining (x, w), and its quasiperiodicity residual."""
+    from . import zak
+    from .groups import parse_group_spec, parse_subgroup_spec
     group = parse_group_spec(args.group)
     g = parse_window_literal(group, args.window)
-    grid = zak_mod.zak_transform(g, parse_subgroup_spec(group, args.subgroup))
-    value, argmin = zak_mod.min_modulus(grid)
-    return grid, value, argmin, zak_mod.quasiperiodicity_residual(grid)
+    grid = zak.zak_transform(g, parse_subgroup_spec(group, args.subgroup))
+    value, argmin = zak.min_modulus(grid)
+    return grid, value, argmin, zak.quasiperiodicity_residual(grid)
 
 
 def _cmd_zak(args) -> int:
+    from .groups import coords_matrix
     grid, value, (x, w), residual = _zak_of_args(args)
     k = grid.window_group.rank
     cols = [f"x{i}" for i in range(k)] + [f"w{i}" for i in range(k)] + ["re", "im", "modulus"]
@@ -252,6 +268,8 @@ def _cmd_zak_min(args) -> int:
 
 
 def _cmd_s0_norm(args) -> int:
+    from . import gabor
+    from .groups import parse_group_spec
     group = parse_group_spec(args.group)
     f = parse_window_literal(group, args.window)
     g = parse_window_literal(group, args.reference) if args.reference else \
@@ -321,11 +339,13 @@ def _cmd_deform_margin(args) -> int:
 
 
 def _cmd_transference_check(args) -> int:
+    from . import gabor
+    from .groups import parse_group_spec
     group = parse_group_spec(args.group)
     g = parse_window_literal(group, args.window)
     h = parse_window_literal(group, args.dual_window)
     delta = parse_lattice_literal(group, args.lattice)
-    result = adeles.finite_transference_check(g, h, delta, args.M, args.d, tol=args.tol)
+    result = gabor.finite_transference_check(g, h, delta, args.M, args.d, tol=args.tol)
     _emit({"base_is_dual_pair": result.base_is_dual_pair,
            "base_residual": result.base_residual,
            "product_is_dual_pair": result.product_is_dual_pair,
@@ -346,6 +366,8 @@ def _print_report(report: experiments.SweepReport, fmt: str) -> None:
 
 
 def _cmd_sweep_window(args) -> int:
+    from . import experiments
+    from .groups import parse_group_spec
     group = parse_group_spec(args.group)
     g = parse_window_literal(group, args.window)
     delta = parse_lattice_literal(group, args.lattice)
@@ -356,6 +378,7 @@ def _cmd_sweep_window(args) -> int:
 
 
 def _cmd_sweep_critical(args) -> int:
+    from . import experiments
     ns = [int(v) for v in args.n_list.split(",") if v.strip() != ""]
     report = experiments.critical_density_trend(ns, include_control=not args.no_control)
     _print_report(report, args.format)
@@ -363,6 +386,8 @@ def _cmd_sweep_critical(args) -> int:
 
 
 def _cmd_density_exhaust(args) -> int:
+    from . import experiments
+    from .groups import parse_group_spec
     group = parse_group_spec(args.group)
     report = experiments.density_exhaustive(group, args.windows, seed=args.seed)
     _print_report(report, args.format)
@@ -493,7 +518,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, GroupShapeError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         return _fail(str(exc))
 
 

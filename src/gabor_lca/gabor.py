@@ -1,6 +1,7 @@
 """Gabor systems over lattices in the time-frequency plane of a finite group:
 frame operators, frame bounds, adjoint lattices, Janssen representation,
-Wexler-Raz biorthogonality, dual windows and orthonormal-basis constructions.
+Wexler-Raz biorthogonality, dual windows, orthonormal-basis constructions and
+the finite transference harness.
 """
 
 from __future__ import annotations
@@ -493,6 +494,79 @@ def _product_lattice(delta1: TfLattice, delta2: TfLattice) -> TfLattice:
     w = delta1.w_indices[:, None] * card2 + delta2.w_indices
     points = x * product.cardinality + w
     return TfLattice(product, Subgroup.from_indices(product.plane(), points.ravel()))
+
+
+@dataclass(frozen=True)
+class TransferenceResult:
+    """Both sides of the dual-pair equivalence, each checked by brute force."""
+
+    base_is_dual_pair: bool
+    base_residual: float
+    product_is_dual_pair: bool
+    product_residual: float
+    volume: Fraction
+
+    @property
+    def equivalent(self) -> bool:
+        return self.base_is_dual_pair == self.product_is_dual_pair
+
+    def __bool__(self) -> bool:
+        return self.equivalent
+
+
+def compact_open_surrogate(M: int, d: int) -> tuple[FiniteLcaGroup, Subgroup, Subgroup]:
+    """H = Z/M with mass 1/|K| per point, K = d*Z/M and its annihilator.
+
+    K models the maximal compact-open subgroup (integers) inside a local
+    field: Z/M plays a two-sided truncation of Q_p and K its unit ball, with
+    Haar measure normalized so the ball has mass 1.
+    """
+    if d <= 0 or M % d != 0:
+        raise ValueError(f"d = {d} must be a positive divisor of M = {M}")
+    H = FiniteLcaGroup((M,), Fraction(d, M))
+    K = enumerate_subgroup(H, [H.element((d % M,))])
+    return H, K, annihilator(K)
+
+
+def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
+                              M: int, d: int, tol: float = 1e-9) -> TransferenceResult:
+    """Dual-pair transference between a base group and its product with a
+    compact-open surrogate.
+
+    Base side: the frame-type operator of (g, h) over delta1 equals the
+    identity.  Product side: with g~ = g (x) 1_K and h~ = h (x) 1_K over
+    delta1 x (K x K_perp), the biorthogonality <g~, pi(z) h~> =
+    vol(delta1) * [base part of z is 0] holds across the product adjoint.
+    The indicator inner products collapse the product condition onto the base
+    one, so the two verdicts agree.
+    """
+    base = g.group
+    if h.group != base or delta1.base_group != base:
+        raise GroupShapeError("windows and lattice must share one base group")
+    _, K, K_perp = compact_open_surrogate(M, d)
+    one_k = indicator_window(K)
+
+    S1 = frame_operator(g, h, delta1)
+    base_residual = float(np.max(np.abs(S1 - np.eye(base.cardinality))))
+    base_ok = base_residual <= tol
+
+    product_lattice = _product_lattice(delta1, TfLattice.separable(K, K_perp))
+    product = product_lattice.base_group
+    g_t = Window(product, np.kron(g.values, one_k.values))
+    h_t = Window(product, np.kron(h.values, one_k.values))
+    vol = delta1.volume
+    assert product_lattice.volume == vol
+
+    adj = adjoint_lattice(product_lattice)
+    k = base.rank
+    coords = coords_matrix(adj.subgroup.group.orders)[adj.subgroup.index_array]
+    base_part_zero = ~coords[:, :k].any(axis=1) & ~coords[:, k + 1:2 * k + 1].any(axis=1)
+    target = np.where(base_part_zero, float(vol), 0.0)
+    values = _adjoint_coefficients(g_t, h_t, adj)
+    product_residual = float(np.max(np.abs(values - target)))
+    product_ok = product_residual <= tol
+
+    return TransferenceResult(base_ok, base_residual, product_ok, product_residual, vol)
 
 
 def _window_values_on(sub: Subgroup,

@@ -132,7 +132,9 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        eye = cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        eye.__dict__["det"] = Fraction(1)  # so that products with it need no elimination
+        return eye
 
     @classmethod
     def scalar(cls, n: int, value: RationalLike) -> "RationalMatrix":
@@ -160,7 +162,12 @@ class RationalMatrix:
                 row.append(sum((self.entries[i][k] * other.entries[k][j]
                                 for k in range(self.n_cols)), Fraction(0)))
             rows.append(tuple(row))
-        return RationalMatrix(tuple(rows))
+        product = RationalMatrix(tuple(rows))
+        if "det" in self.__dict__ and "det" in other.__dict__:
+            # Only a square matrix caches det, so the product is square and
+            # det(AB) = det(A) det(B) exactly: seed its cache, no elimination.
+            product.__dict__["det"] = self.det * other.det
+        return product
 
     def apply(self, vector: Sequence[RationalLike]) -> tuple[Fraction, ...]:
         vec = [Fraction(v) for v in vector]

@@ -210,6 +210,10 @@ class TestAdeleVector:
         with pytest.raises(PlaceDataError):
             AdeleVector(S, (Fraction(1),), ((2, (Fraction(1),)), (5, (Fraction(1),))))
 
+    def test_duplicate_component_rejected(self):
+        with pytest.raises(PlaceDataError, match="duplicate component at p=2"):
+            AdeleVector(PlaceSet((2,)), (1,), ((2, (1,)), (2, (3,))))
+
 
 class TestAdeleVectorCreate:
     def test_component_outside_place_set_rejected(self):

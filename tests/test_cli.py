@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gabor_lca import cli
+import gabor_lca
+from gabor_lca import adeles, cli, gabor
 from gabor_lca.groups import FiniteLcaGroup
 
 
@@ -365,3 +370,138 @@ class TestWindowLiteral:
         code, _, err = run(capsys, "frame-bounds", "--group", "Z2",
                            "--window", literal, "--lattice", "time-axis")
         assert code == 2 and err.startswith("error:")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code: str, *args: str, cwd=None) -> str:
+    """stdout of ``python -c code args`` in a new interpreter that finds ``src``."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+#: The README's automorphism file, and that file times [[1, 1], [0, 1]].
+AUTO = "S = 2,3\nAinf = [[1/2, 0], [0, 2]]\nA2 = [[2, 0], [0, 1]]\n"
+AUTO_REBASED = ("S = 2,3\nAinf = [[1/2, 1/2], [0, 2]]\nA2 = [[2, 2], [0, 1]]\n"
+                "A3 = [[1, 1], [0, 1]]\n")
+
+#: (argv, exit code, stdout) of the exact subcommands and two exact refusals.
+EXACT_RUNS = [
+    (["padic-abs", "12", "2"], 0, "1/4\n"),
+    (["adele-vol", "--file", "auto.txt"], 0,
+     '{"archimedean": "1", "exact": true, "finite_part": "1/2", "modular": "1/2", '
+     '"volume": "1/2"}\n'),
+    (["adele-member", "--file", "auto.txt", "--vector", "diag=(5/2,1)"], 0,
+     '{"is_member": false, "witness": null}\n'),
+    (["adele-equal", "--file", "auto.txt", "--file2", "rebased.txt"], 0, '{"equal": true}\n'),
+    (["blt-classify", "A_Q{S=2,3; n=2}"], 0,
+     '{"blt_holds": true, "compact_identity_component": false, "message": "BLT holds: '
+     'noncompact identity component; no well-localized frame exists over any lattice of '
+     'volume 1", "real_dimension": 2, "spec": "A_Q{S=2,3; n=2}"}\n'),
+    (["deform-margin", "--file", "auto.txt"], 0,
+     '{"dim": 2, "margin": 0.41421356237309515, "volume": "1/2"}\n'),
+    (["padic-abs", "12", "4"], 2, ""),
+    (["adele-member", "--file", "auto.txt", "--vector", "diag=(5/2)"], 2, ""),
+]
+
+RUN_IN_FRESH_PROCESS = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from gabor_lca import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs, "numpy": "numpy" in sys.modules}))
+"""
+
+#: Every name the package exported when it imported its submodules eagerly,
+#: with the submodule it came from.
+EAGER_EXPORTS = {
+    "groups": ["CARDINALITY_CAP", "CardinalityCapError", "DualElement", "FiniteLcaGroup",
+               "GroupElement", "GroupShapeError", "Subgroup", "all_subgroups",
+               "annihilator", "coset_transversal", "enumerate_subgroup", "full_subgroup",
+               "lattice_volume", "pairing", "pairing_is_one", "parse_group_spec",
+               "trivial_subgroup"],
+    "gabor": ["FrameReport", "NotAFrameError", "TfLattice", "WexlerRazResult", "Window",
+              "WindowNotOnbError", "adjoint_lattice", "canonical_dual",
+              "commutation_defect", "constant_window", "delta_window", "density_check",
+              "fourier_transform", "frame_bounds", "frame_operator", "indicator_window",
+              "inverse_fourier_transform", "janssen_operator", "lift_finite_index",
+              "push_finite_subgroup", "random_window", "s0_norm", "standard_onb", "stft",
+              "tensor_onb", "tf_shift", "tf_shift_plane", "wexler_raz_check"],
+    "zak": ["ZakGrid", "min_modulus", "plane_quadratic_mass", "quasiperiodicity_residual",
+            "zak_frame_bounds", "zak_transform"],
+    "padic": ["NotPrimeError", "PadicScalar", "Place", "RationalMatrix",
+              "SingularMatrixError", "certify_prime", "in_gl_n_zp", "local_modular",
+              "padic_abs", "valuation"],
+    "adeles": ["AdeleAutomorphism", "AdeleLattice", "AdeleVector", "BalianLowVerdict",
+               "ModularValue", "PlaceSet", "balian_low_classifier", "deformation_margin",
+               "finite_transference_check", "global_modular", "lattice_equality",
+               "lattice_membership", "parse_lca_group_spec"],
+    "experiments": ["SweepReport", "critical_density_trend", "density_exhaustive",
+                    "periodized_gaussian", "window_stability_sweep"],
+}
+
+HARNESS = ("TransferenceResult", "compact_open_surrogate", "finite_transference_check")
+
+
+class TestExactLayerWithoutNumpy:
+    def test_exact_subcommands_load_no_numpy(self, tmp_path):
+        (tmp_path / "auto.txt").write_text(AUTO, encoding="utf-8")
+        (tmp_path / "rebased.txt").write_text(AUTO_REBASED, encoding="utf-8")
+        argvs = [argv for argv, _, _ in EXACT_RUNS]
+        result = json.loads(fresh_python(RUN_IN_FRESH_PROCESS, json.dumps(argvs),
+                                         cwd=tmp_path))
+        assert result["numpy"] is False
+        for (argv, code, stdout), (got_code, got_out, got_err) in zip(EXACT_RUNS,
+                                                                      result["runs"]):
+            assert (got_code, got_out) == (code, stdout), argv
+            assert got_err.startswith("error:") if code == 2 else got_err == "", argv
+
+    def test_bare_package_import_loads_no_numpy(self):
+        assert fresh_python("import sys, gabor_lca; print('numpy' in sys.modules)") == "False\n"
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("module", sorted(EAGER_EXPORTS))
+    def test_every_eager_export_resolves_to_its_object(self, module):
+        sub = getattr(gabor_lca, module)
+        assert sub is sys.modules[f"gabor_lca.{module}"]
+        for name in EAGER_EXPORTS[module]:
+            assert getattr(gabor_lca, name) is getattr(sub, name), name
+        assert set(EAGER_EXPORTS[module]) <= set(dir(gabor_lca))
+
+    def test_alias_and_unknown_names(self):
+        assert gabor_lca.adele_lattice_volume is adeles.lattice_volume
+        assert gabor_lca.lattice_volume is gabor_lca.groups.lattice_volume
+        with pytest.raises(AttributeError):
+            gabor_lca.no_such_name
+        with pytest.raises(AttributeError):
+            adeles.no_such_name
+
+    def test_harness_is_one_object_from_adeles_and_gabor(self):
+        for name in HARNESS:
+            assert getattr(adeles, name) is getattr(gabor, name), name
+            assert name not in vars(adeles)
+
+    def test_swapped_functions_are_seen_and_not_cached(self, monkeypatch):
+        # A tracer swaps a function where it is bound and restores it later;
+        # the package and adeles must hand out whatever is bound now.
+        assert callable(gabor_lca.frame_bounds)
+        assert "frame_bounds" not in vars(gabor_lca)
+        swapped_bounds, swapped_check = object(), object()
+        monkeypatch.setattr(gabor, "frame_bounds", swapped_bounds)
+        monkeypatch.setattr(gabor, "finite_transference_check", swapped_check)
+        assert gabor_lca.frame_bounds is swapped_bounds
+        assert gabor_lca.finite_transference_check is swapped_check
+        assert adeles.finite_transference_check is swapped_check
+        monkeypatch.undo()
+        assert gabor_lca.frame_bounds is gabor.frame_bounds is not swapped_bounds

@@ -208,6 +208,27 @@ class TestEliminationOracles:
             assert A.solve(vec) == inv.apply(vec)
         assert swapped >= 10 and singular >= 10
 
+    def test_product_det_seeded_from_cached_factors(self):
+        """A product of two matrices whose determinants are cached carries
+        det(A) det(B) without an elimination; it equals a fresh one exactly."""
+        by_size = {}
+        for M in seeded_matrices(12, 240):
+            by_size.setdefault(M.n_rows, []).append(M)
+        pairs = singular = 0
+        for mats in by_size.values():
+            for A, B in zip(mats, mats[1:]):
+                assert "det" not in (A @ B).__dict__
+                A.det, B.det  # cache both
+                P = A @ B
+                assert "det" in P.__dict__
+                assert P.det == det_by_forward_elimination(P) == RationalMatrix(P.entries).det
+                eye = RationalMatrix.identity(A.n_rows)
+                assert eye.det == det_by_forward_elimination(eye) == 1
+                assert (A @ eye).__dict__["det"] == A.det
+                pairs += 1
+                singular += P.det == 0
+        assert pairs >= 200 and singular >= 50
+
     def test_non_square_refused(self):
         A = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
