@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -38,6 +39,17 @@ def _emit(payload) -> None:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 # --- literals -----------------------------------------------------------------
@@ -74,12 +86,17 @@ def parse_window_literal(group: FiniteLcaGroup, text: str) -> gabor.Window:
 
 
 def _top_level_groups(body: str) -> list[str]:
+    """The parenthesized groups of ``body``: at least one, with nothing but
+    an optional ';' or 'x' separator between two of them."""
     groups = []
     depth = 0
-    start = 0
+    start = end = 0
     for i, ch in enumerate(body):
         if ch == "(":
             if depth == 0:
+                gap = body[end:i].strip()
+                if gap and not (groups and gap in (";", "x")):
+                    raise ValueError(f"unexpected {gap!r} in plane generators {body!r}")
                 start = i
             depth += 1
         elif ch == ")":
@@ -88,8 +105,13 @@ def _top_level_groups(body: str) -> list[str]:
                 raise ValueError(f"unbalanced parentheses in {body!r}")
             if depth == 0:
                 groups.append(body[start:i + 1])
+                end = i + 1
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in {body!r}")
+    if not groups:
+        raise ValueError(f"expected plane generators such as ((1),(0)), got {body!r}")
+    if body[end:].strip():
+        raise ValueError(f"unexpected {body[end:].strip()!r} in plane generators {body!r}")
     return groups
 
 
@@ -418,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-card", type=int, default=36)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     p = add("wexler-raz", _cmd_wexler_raz,
             "biorthogonality test for a window and (by default) its canonical dual")
@@ -426,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True)
     p.add_argument("--lattice", required=True)
     p.add_argument("--dual-window", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = add("adjoint", _cmd_adjoint, "adjoint lattice of a plane lattice")
     p.add_argument("--group", required=True)
@@ -484,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = add("sweep-window", _cmd_sweep_window, "window-perturbation stability sweep")
     p.add_argument("--group", required=True)

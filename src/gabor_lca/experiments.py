@@ -93,6 +93,8 @@ def window_stability_sweep(g: Window, delta: TfLattice,
     vol^{-1} sum_z |<pi(z)(g'-g), g'> + <pi(z)g, g'-g>|, which must dominate.
     """
     eps_values = [float(e) for e in eps_values]
+    if not all(map(math.isfinite, eps_values)):
+        raise ValueError(f"eps values must be finite, got {eps_values}")
     if not eps_values or any(b <= a for a, b in zip(eps_values, eps_values[1:])):
         raise ValueError("eps grid must be non-empty and strictly increasing")
     S_base, base_report = _hermitian_frame_operator(g, delta)

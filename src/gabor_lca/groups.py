@@ -28,14 +28,7 @@ class GroupShapeError(ValueError):
 
 
 class CardinalityCapError(ValueError):
-    """A group or enumeration would exceed the configured cardinality cap."""
-
-
-def _lcm_many(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
+    """A group or its time-frequency plane would exceed the cardinality cap."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ class FiniteLcaGroup:
 
     @cached_property
     def exponent(self) -> int:
-        return _lcm_many(self.orders)
+        return math.lcm(*self.orders)
 
     @property
     def total_mass(self) -> Fraction:
@@ -84,7 +77,7 @@ class FiniteLcaGroup:
         return tuple(_row_major_strides(self.orders).tolist())
 
     def dual(self) -> "FiniteLcaGroup":
-        return FiniteLcaGroup(self.orders, Fraction(1, self.cardinality) / self.weight)
+        return self._dual
 
     def plane(self) -> "FiniteLcaGroup":
         """The time-frequency plane G x G^ with its canonical measure.
@@ -92,6 +85,17 @@ class FiniteLcaGroup:
         The per-point mass weight * dual_weight = 1/|G| does not depend on the
         Haar normalization chosen on G.
         """
+        return self._plane
+
+    @cached_property
+    def _dual(self) -> "FiniteLcaGroup":
+        return FiniteLcaGroup(self.orders, Fraction(1, self.cardinality) / self.weight)
+
+    @cached_property
+    def _plane(self) -> "FiniteLcaGroup":
+        if self.cardinality ** 2 > CARDINALITY_CAP:
+            raise CardinalityCapError(f"the plane of {self} has {self.cardinality ** 2} "
+                                      f"points, which exceeds cap {CARDINALITY_CAP}")
         return FiniteLcaGroup(self.orders + self.orders, Fraction(1, self.cardinality))
 
     def element(self, coords: Sequence[int] | int) -> "GroupElement":
@@ -221,7 +225,7 @@ def _pair_exponents(orders: tuple[int, ...], a, b) -> tuple[np.ndarray, int]:
     E[i, j] = sum_k a[i, k] b[j, k] (N / n_k) mod N with N = lcm(orders), so
     <a_i, b_j> = exp(2*pi*i*E[i, j]/N); either stack may hold the characters.
     """
-    N = _lcm_many(orders)
+    N = math.lcm(*orders)
     scale = np.array([N // n for n in orders], dtype=np.int64)
     a, b = (np.asarray(r, dtype=np.int64).reshape(-1, len(orders)) for r in (a, b))
     return (a * scale) @ b.T % N, N
@@ -256,7 +260,7 @@ def pair_exponent_table(orders: tuple[int, ...]) -> np.ndarray:
 def char_table(orders: tuple[int, ...]) -> np.ndarray:
     """CHI[w, x] = <w, x> as complex128 (read-only)."""
     E = pair_exponent_table(orders)
-    N = _lcm_many(orders)
+    N = math.lcm(*orders)
     CHI = np.exp(2j * np.pi * (E / N))
     CHI.setflags(write=False)
     return CHI
@@ -291,7 +295,7 @@ def _close(orders: tuple[int, ...], mask: np.ndarray, x: int) -> np.ndarray:
     modulo H, so it is one sum of H's indices with the first m multiples of x.
     """
     C = coords_matrix(orders)
-    steps = np.arange(_lcm_many(orders) + 1)[:, None]
+    steps = np.arange(math.lcm(*orders) + 1)[:, None]
     multiples = steps * C[x] % np.array(orders) @ _row_major_strides(orders)
     m = 1 + int(np.argmax(mask[multiples[1:]]))
     out = np.zeros_like(mask)
@@ -314,8 +318,9 @@ class Subgroup:
     ``elements`` is built from the indices the first time it is read.
 
     ``generators`` always generates the subgroup: ``enumerate_subgroup``
-    closes the given generators and ``from_indices`` recovers a generating
-    set from a closed index set.  ``annihilator`` and ``adjoint_lattice`` test
+    closes the given generators, ``from_indices`` recovers a generating set
+    from a closed index set, and ``all_subgroups`` builds each subgroup from
+    the same greedy generators.  ``annihilator`` and ``adjoint_lattice`` test
     membership against the generators only, so they rely on this.
     """
 
@@ -404,10 +409,7 @@ def enumerate_subgroup(group: FiniteLcaGroup,
     for g in gens:
         if not mask[g.index]:
             mask = _close(group.orders, mask, g.index)
-    idx = np.flatnonzero(mask)
-    if len(idx) > CARDINALITY_CAP:
-        raise CardinalityCapError(f"subgroup enumeration exceeded cap {CARDINALITY_CAP}")
-    return Subgroup(group, gens, idx)
+    return Subgroup(group, gens, np.flatnonzero(mask))
 
 
 def trivial_subgroup(group: FiniteLcaGroup) -> Subgroup:
@@ -466,31 +468,28 @@ def _coset_leaders(sub: Subgroup, xs: np.ndarray) -> np.ndarray:
 
 
 def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
-    """Every subgroup, by closing known subgroups under single extra elements.
+    """Every subgroup, ordered by (order, indices), each with its greedy generators.
 
-    <H, x + h> = <H, x> for h in H, so each coset of H is tried once.
+    The walk extends H = <g_1..g_i> by each coset leader x > g_i and keeps
+    <H, x> exactly when no point of it outside H is below x.  As the g_i
+    ascend, the kept tuples are exactly the greedy generators that
+    ``from_indices`` recovers, and a subgroup has one such tuple, so each
+    subgroup is reached exactly once.
     """
     _check_table_size(group.orders)
     orders, card = group.orders, group.cardinality
     trivial = _zero_mask(card)
-    seen = {trivial.tobytes(): trivial}
-    queue = [trivial]
-    while queue:
-        H = queue.pop()
-        members = np.flatnonzero(H)
-        tried = H.copy()
-        for x in range(1, card):
-            if tried[x]:
-                continue
-            tried[_index_sum(orders, x, members)] = True
-            closed = _close(orders, H, x)
-            key = closed.tobytes()
-            if key not in seen:
-                seen[key] = closed
-                queue.append(closed)
-    found = sorted((np.flatnonzero(m) for m in seen.values()),
-                   key=lambda idx: (len(idx), idx.tolist()))
-    return [Subgroup.from_indices(group, idx) for idx in found]
+    found, stack = [], [(Subgroup(group, (), np.flatnonzero(trivial)), trivial)]
+    while stack:
+        H, mask = stack.pop()
+        found.append(H)
+        start = H.generators[-1].index + 1 if H.generators else 1
+        for x in _coset_leaders(H, np.arange(start, card)).tolist():
+            closed = _close(orders, mask, x)
+            if np.array_equal(closed[:x], mask[:x]):
+                gens = H.generators + (group.element_by_index(x),)
+                stack.append((Subgroup(group, gens, np.flatnonzero(closed)), closed))
+    return sorted(found, key=lambda H: (H.order, H.index_array.tolist()))
 
 
 # --- specification grammar shared with the CLI ------------------------------

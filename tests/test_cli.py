@@ -290,6 +290,55 @@ class TestRefusedInputs:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "smallest catalog order 2" in err
 
+    @pytest.mark.parametrize("literal", [
+        "plane-gens=junk",
+        "plane-gens=",
+        "plane-gens=((1),(2)) junk ((0),(1))",
+        "plane-gens=;((1),(2))",
+        "plane-gens=((1),(2));",
+    ])
+    def test_garbage_lattice_literal(self, capsys, literal):
+        self.assert_refused(capsys, "adjoint", "--group", "Z4", "--lattice", literal)
+
+    @pytest.mark.parametrize("literal", ["plane-gens=(())", "plane-gens=((1,0))x((0,0))",
+                                         "plane-gens=((2),(0)) ; ((0),(2))"])
+    def test_separators_still_accepted(self, capsys, literal):
+        assert run(capsys, "adjoint", "--group", "Z4", "--lattice", literal)[0] == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["janssen-check", "--count", "2"],
+        ["wexler-raz", "--group", "Z4", "--window", "gauss", "--lattice", "full-plane"],
+        ["transference-check", "--group", "Z4", "--window", "delta0",
+         "--dual-window", "delta0", "--lattice", "time-axis", "--M", "4", "--d", "2"],
+    ])
+    def test_bad_tolerance(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert "error: argument --tol" in err and "Traceback" not in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, payload = run_json(capsys, "transference-check", "--group", "Z4",
+                                 "--window", "delta0", "--dual-window", "delta0",
+                                 "--lattice", "time-axis", "--M", "4", "--d", "2", "--tol", "0")
+        assert code == 0 and payload["equivalent"] is True
+
+    @pytest.mark.parametrize("eps", ["0,nan", "0,inf"])
+    def test_non_finite_eps(self, capsys, eps):
+        argv = ["sweep-window", "--group", "Z8", "--window", "gauss",
+                "--lattice", "plane-gens=((2),(0));((0),(2))", "--eps", eps]
+        self.assert_refused(capsys, *argv)
+        assert "eps" in run(capsys, *argv)[2]
+
+    @pytest.mark.parametrize("argv, plane", [
+        (["frame-bounds", "--group", "Z64xZ64", "--window", "delta0",
+          "--lattice", "time-axis"], "the plane of Z64xZ64 has 16777216 points"),
+        (["sweep-critical", "--n-list", "9"], "the plane of Z81 has 6561 points"),
+    ])
+    def test_plane_refusal_names_the_plane(self, capsys, argv, plane):
+        self.assert_refused(capsys, *argv)
+        assert plane in run(capsys, *argv)[2]
+
 
 class TestRepeatedKeys:
     """A key given twice is refused instead of the last value winning."""

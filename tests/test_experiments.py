@@ -86,6 +86,13 @@ class TestWindowStabilitySweep:
             assert row[3] == bounds.is_frame
             assert abs(row[4] - measured) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_eps_refused(self, bad):
+        g = ex.periodized_gaussian(8)
+        lam = gl.enumerate_subgroup(g.group, [g.group.element((2,))])
+        with pytest.raises(ValueError, match="eps"):
+            ex.window_stability_sweep(g, TfLattice.separable(lam), [0.0, bad])
+
     def test_requires_frame(self):
         g = ex.periodized_gaussian(4)  # symmetric: singular at critical density
         lam = gl.enumerate_subgroup(g.group, [g.group.element((2,))])

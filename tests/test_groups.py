@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -120,6 +121,56 @@ def all_subgroups_by_add_table(group):
     return out
 
 
+def gaussian_binomial(n, k, p):
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def conjugate_partition(parts):
+    return [sum(1 for a in parts if a > i) for i in range(max(parts, default=0))]
+
+
+def birkhoff_delsarte_count(orders):
+    """Oracle for the number of subgroups, independent of any enumeration.
+
+    The count is the product over primes p of the counts of the Sylow
+    p-parts.  A p-group of type lambda has, for each type mu <= lambda,
+    prod_i p^(mu'_{i+1} (lambda'_i - mu'_i)) [lambda'_i - mu'_{i+1} choose
+    mu'_i - mu'_{i+1}]_p subgroups of type mu, where ' is the conjugate
+    partition (Butler, Mem. AMS 539, 1994).
+    """
+    sylow = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e:
+                sylow.setdefault(p, []).append(e)
+            p += 1
+    total = 1
+    for p, lam in sylow.items():
+        lam = sorted(lam, reverse=True)
+        lam_c = conjugate_partition(lam)
+        count = 0
+        for mu in itertools.product(*(range(a + 1) for a in lam)):
+            if any(b > a for a, b in zip(mu, mu[1:])):
+                continue
+            mu_c = conjugate_partition(mu) + [0] * (len(lam_c) + 1)
+            term = 1
+            for i, l in enumerate(lam_c):
+                term *= p ** (mu_c[i + 1] * (l - mu_c[i])) * gaussian_binomial(
+                    l - mu_c[i + 1], mu_c[i] - mu_c[i + 1], p)
+            count += term
+        total *= count
+    return total
+
+
 def generators_and_elements(sub):
     return [g.coords for g in sub.generators], [e.coords for e in sub.elements]
 
@@ -176,6 +227,17 @@ class TestGroupBasics:
         assert G.dual().orders == G.orders
         assert G.dual().weight == Fraction(1, 24)
         assert G.dual().dual() == G
+
+    def test_dual_and_plane_are_built_once(self):
+        G = FiniteLcaGroup((4, 6), Fraction(3))
+        assert G.dual() is G.dual() and G.plane() is G.plane()
+        assert G.dual() == FiniteLcaGroup((4, 6), Fraction(1, 72))
+        assert G.plane() == FiniteLcaGroup((4, 6, 4, 6), Fraction(1, 24))
+
+    def test_plane_refusal_names_the_plane(self):
+        G = FiniteLcaGroup((64, 64))
+        with pytest.raises(CardinalityCapError, match="plane of Z64xZ64 has 16777216 points"):
+            G.plane()
 
     def test_plane_measure_is_canonical(self):
         G = FiniteLcaGroup((4,))
@@ -399,6 +461,17 @@ class TestIndexCore:
             G = FiniteLcaGroup(orders)
             fast = [generators_and_elements(H) for H in gl.all_subgroups(G)]
             assert fast == all_subgroups_by_add_table(G), str(G)
+
+    def test_all_subgroups_match_birkhoff_delsarte_count(self):
+        shapes = shapes_up_to(64)
+        assert len(shapes) == 198
+        assert birkhoff_delsarte_count((2,) * 6) == 2825
+        for orders in shapes:
+            G = FiniteLcaGroup(orders)
+            subs = gl.all_subgroups(G)
+            assert len(subs) == birkhoff_delsarte_count(orders), str(G)
+            for H in subs:
+                assert Subgroup.from_indices(G, H.index_array).generators == H.generators
 
     @pytest.mark.parametrize("orders", [(4,), (6,), (2, 2)])
     def test_plane_subgroups_match_element_oracle(self, orders):
