@@ -26,7 +26,6 @@ from .groups import (
     _index_sum,
     _pair_exponents,
     _unit_coords,
-    add_index_table,
     annihilator,
     char_table,
     coords_matrix,
@@ -67,10 +66,10 @@ class Window:
         if vals.shape != (self.group.cardinality,):
             raise GroupShapeError(
                 f"window needs {self.group.cardinality} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise ValueError("window values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if not math.isfinite(self.norm()):  # also refuses every non-finite value
+            raise ValueError(f"window values and norm must be finite, norm is {self.norm()}")
 
     @property
     def weight(self) -> float:
@@ -313,17 +312,16 @@ def _check_system(g: Window, delta: TfLattice) -> None:
 def stft(f: Window, g: Window) -> np.ndarray:
     """Short-time Fourier transform V_g f over the full plane.
 
-    Returns a (|G|, |G|) array indexed [x_index, w_index].
+    Returns a (|G|, |G|) array indexed [x_index, w_index].  The sum over t is
+    one FFT along the time axes, as in ``fourier_transform``.
     """
     if f.group != g.group:
         raise GroupShapeError("windows on different groups")
     grp = f.group
-    CHI = char_table(grp.orders)
-    SUB = sub_index_table(grp.orders)
     # M[t, x] = f(t) * conj(g(t - x))
-    M = f.values[:, None] * np.conj(g.values[SUB])
-    V = (np.conj(CHI) @ M).T * float(grp.weight)
-    return V
+    M = f.values[:, None] * np.conj(g.values[sub_index_table(grp.orders)])
+    V = np.fft.fftn(M.reshape(grp.orders + (-1,)), axes=range(grp.rank))
+    return V.reshape(grp.cardinality, -1).T * float(grp.weight)
 
 
 def s0_norm(f: Window, g: Window) -> float:
@@ -353,7 +351,9 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
     synthesis window against the shifted analysis window: expanding the
     rank-one operator h g^* in the (orthogonal) basis of time-frequency shift
     matrices forces this orientation, and the transposed variant already
-    fails on the diagonal lattice of the Z/2 plane.
+    fails on the diagonal lattice of the Z/2 plane.  FFT route: the inverse
+    FFT of the coefficient grid C[x, w] over the frequency axes is
+    A[x, t] = sum_w C[x, w] <w, t>, and J[t, s] = vol^{-1} A[t - s, t].
     """
     _check_system(g, delta)
     if h.group != g.group:
@@ -361,16 +361,11 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
     grp = g.group
     card = grp.cardinality
     adj = adjoint if adjoint is not None else adjoint_lattice(delta)
-    CHI = char_table(grp.orders)
-    ADD = add_index_table(grp.orders)
-    coeffs = _adjoint_coefficients(h, g, adj)
-    cols = np.arange(card)
-    J = np.zeros((card, card), dtype=np.complex128)
-    for x_idx, w_idx, c in zip(adj.x_indices, adj.w_indices, coeffs):
-        rows = ADD[cols, x_idx]
-        J[rows, cols] += c * CHI[w_idx, rows]
-    J *= 1.0 / float(delta.volume)
-    return J
+    C = np.zeros((card, card), dtype=np.complex128)
+    C[adj.x_indices, adj.w_indices] = _adjoint_coefficients(h, g, adj)
+    A = np.fft.ifftn(C.reshape((card,) + grp.orders), axes=range(1, grp.rank + 1))
+    A = A.reshape(card, card) * (card / float(delta.volume))
+    return A[sub_index_table(grp.orders), np.arange(card)[:, None]]
 
 
 @dataclass(frozen=True)
@@ -463,6 +458,8 @@ def density_check(delta: TfLattice) -> DensityVerdict:
 
 
 def _require_onb(g: Window, delta: TfLattice, tol: float, who: str) -> None:
+    if delta.order != g.group.cardinality:
+        raise WindowNotOnbError(f"{who}: {delta.order} lattice points, not |G| = {len(g.values)}")
     S = frame_operator(g, g, delta)
     defect = float(np.max(np.abs(S - np.eye(g.group.cardinality))))
     if defect > tol:

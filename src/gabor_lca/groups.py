@@ -270,11 +270,10 @@ def char_table(orders: tuple[int, ...]) -> np.ndarray:
 def add_index_table(orders: tuple[int, ...]) -> np.ndarray:
     """ADD[a, b] = index of a + b (read-only)."""
     _check_table_size(orders)
-    card = math.prod(orders)
-    out = np.empty((card, card), dtype=np.int64)
-    every = np.arange(card)
-    for a in range(card):
-        out[a] = _index_sum(orders, a, every)
+    C = coords_matrix(orders)
+    out = np.zeros((len(C), len(C)), dtype=np.int64)
+    for k, n in enumerate(orders):  # the row-major index, one axis at a time
+        out = out * n + (C[:, k, None] + C[:, k]) % n
     out.setflags(write=False)
     return out
 
@@ -446,12 +445,8 @@ def _coset_minima(sub: Subgroup, xs) -> np.ndarray:
     That index is the canonical representative of the coset: under the
     row-major strides it is the lexicographically smallest coordinate tuple.
     """
-    orders = sub.group.orders
     xs = np.asarray(xs, dtype=np.int64)
-    out = np.full(xs.shape, sub.group.cardinality, dtype=np.int64)
-    for h in sub.index_array:
-        np.minimum(out, _index_sum(orders, xs, h), out=out)
-    return out
+    return _index_sum(sub.group.orders, xs[..., None], sub.index_array).min(axis=-1)
 
 
 def coset_transversal(group: FiniteLcaGroup, sub: Subgroup) -> list[GroupElement]:

@@ -13,9 +13,10 @@ from .groups import (
     GroupElement,
     GroupShapeError,
     Subgroup,
-    add_index_table,
+    _index_sum,
+    _pair_exponents,
     annihilator,
-    char_table,
+    coords_matrix,
 )
 
 
@@ -36,6 +37,8 @@ class ZakGrid:
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != (card, card):
             raise GroupShapeError(f"Zak grid must be {card} x {card}, got {vals.shape}")
+        if self.lattice.group != self.window_group:
+            raise GroupShapeError(f"lattice in {self.lattice.group}, not {self.window_group}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -44,30 +47,33 @@ def zak_transform(f: Window, lam: Subgroup) -> ZakGrid:
     """Zf(x, w) = sum_{l in lam} f(x + l) <w, l>."""
     if lam.group != f.group:
         raise GroupShapeError("lattice subgroup outside the window's group")
-    grp = f.group
-    ADD = add_index_table(grp.orders)
-    CHI = char_table(grp.orders)
+    orders = f.group.orders
+    C = coords_matrix(orders)
     lam_idx = lam.index_array
-    shifts = f.values[ADD[:, lam_idx]]      # [x, j] = f(x + l_j)
-    chars = CHI[:, lam_idx]                 # [w, j] = <w, l_j>
-    return ZakGrid(grp, lam, shifts @ chars.T)
+    shifts = f.values[_index_sum(orders, np.arange(len(C))[:, None], lam_idx)]  # f(x + l_j)
+    E, N = _pair_exponents(orders, C, C[lam_idx])   # <w, l_j> = exp(2 pi i E[w, j] / N)
+    return ZakGrid(f.group, lam, shifts @ np.exp(2j * np.pi * (E / N)).T)
 
 
 def quasiperiodicity_residual(grid: ZakGrid) -> float:
-    """max |F(x + l, w + t) - conj(<w, l>) F(x, w)| over l in lam, t in lam_perp."""
-    grp = grid.window_group
-    ADD = add_index_table(grp.orders)
-    CHI = char_table(grp.orders)
-    lam_idx = grid.lattice.index_array
-    perp_idx = annihilator(grid.lattice).index_array
+    """max |F(x + l, w + t) - conj(<w, l>) F(x, w)| over generator pairs.
+
+    The pairs are (l, 0) and (0, t) for the generators l of lam and t of
+    lam_perp.  The pairing is a bicharacter, so in exact arithmetic they imply
+    every pair of lam x lam_perp; being a subset, they never read more.
+    """
+    orders = grid.window_group.orders
+    every = np.arange(grid.window_group.cardinality)
     F = grid.values
     residual = 0.0
-    for l in lam_idx:
-        row_perm = ADD[:, l]
-        factor = np.conj(CHI[:, l])[None, :]  # conj(<w, l>) per column w
-        for t in perp_idx:
-            shifted = F[np.ix_(row_perm, ADD[:, t])]
-            residual = max(residual, float(np.max(np.abs(shifted - factor * F))))
+    for l in grid.lattice.generators:
+        E, N = _pair_exponents(orders, [l.coords], coords_matrix(orders))
+        phase = np.conj(np.exp(2j * np.pi * (E / N)))   # conj(<w, l>), rounded as char_table
+        moved = F[_index_sum(orders, every, l.index)]   # F(x + l, w)
+        residual = max(residual, float(np.max(np.abs(moved - phase * F))))
+    for t in annihilator(grid.lattice).generators:
+        moved = F[:, _index_sum(orders, every, t.index)]   # F(x, w + t)
+        residual = max(residual, float(np.max(np.abs(moved - F))))
     return residual
 
 

@@ -285,6 +285,12 @@ class TestRefusedInputs:
     def test_vacuous_experiment_refused(self, capsys, argv):
         self.assert_refused(capsys, *argv)
 
+    def test_window_norm_overflow(self, capsys):
+        code, out, err = run(capsys, "frame-bounds", "--group", "Z4", "--window",
+                             "values=(1e308,0),(1e308,0),(0,0),(0,0)", "--lattice", "time-axis")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "norm" in err and "Traceback" not in err
+
     def test_max_card_below_catalog(self, capsys):
         code, out, err = run(capsys, "janssen-check", "--max-card", "1")
         assert code == 2 and out == ""

@@ -25,8 +25,11 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
+    add_index_table,
+    char_table,
     coords_matrix,
     pairing_exponent,
+    sub_index_table,
 )
 
 
@@ -177,6 +180,26 @@ def quotient_defect_by_elements(group, finite_sub, lam, quot_vals):
     return gram_defect_of_vectors(group, vectors)
 
 
+def janssen_by_scatter_loop(g, h, delta):
+    """Oracle: one scatter of a shifted character column per adjoint point."""
+    card = g.group.cardinality
+    CHI, ADD = char_table(g.group.orders), add_index_table(g.group.orders)
+    adj = gl.adjoint_lattice(delta)
+    cols = np.arange(card)
+    J = np.zeros((card, card), dtype=np.complex128)
+    for x_idx, w_idx, c in zip(adj.x_indices, adj.w_indices, _adjoint_coefficients(h, g, adj)):
+        rows = ADD[cols, x_idx]
+        J[rows, cols] += c * CHI[w_idx, rows]
+    return J / float(delta.volume)
+
+
+def stft_by_dense_product(f, g):
+    """Oracle: the sum over t as a product with the character table."""
+    orders = f.group.orders
+    M = f.values[:, None] * np.conj(g.values[sub_index_table(orders)])
+    return (np.conj(char_table(orders)) @ M).T * float(f.group.weight)
+
+
 def assert_verdict_flips_at(call, defect, message):
     """The Gram check of ``call(tol)`` whose error starts with ``message``
     passes just above ``defect`` and fails just below it."""
@@ -225,6 +248,11 @@ class TestWindowsAndFourier:
     def test_window_requires_finite_values(self):
         with pytest.raises(ValueError):
             Window(Z(2), np.array([np.nan, 1.0]))
+
+    def test_window_refuses_overflowing_norm(self):
+        for vals in ([1e200, 1, 0, 0], [1e308, 1e308, 0, 0]):
+            with pytest.raises(ValueError, match="norm"):
+                Window(Z(4), np.array(vals))
 
 
 class TestTfShift:
@@ -705,6 +733,14 @@ class TestOnbConstructions:
         with pytest.raises(WindowNotOnbError):
             gl.tensor_onb(g1, d1, bad, TfLattice.time_axis(G2))
 
+    def test_tensor_rejects_parseval_frame_that_is_not_a_basis(self):
+        # delta / sqrt(2) over the full Z/2 plane has S = I, but 4 points
+        G = Z(2)
+        g, full = gl.delta_window(G) * (1 / math.sqrt(2)), TfLattice.full_plane(G)
+        assert identity_defect(gl.frame_operator(g, g, full)) < 1e-14
+        with pytest.raises(WindowNotOnbError, match="4 lattice points"):
+            gl.tensor_onb(g, full, g, full)
+
     def test_lift_explicit_z4_example(self):
         G = Z(4)
         H = gl.enumerate_subgroup(G, [G.element((2,))])
@@ -894,3 +930,28 @@ class TestIndexArithmeticOracles:
             assert_verdict_flips_at(
                 lambda tol: gl.push_finite_subgroup(G, F, lam, vals, tol=tol), defect,
                 "quotient window is not an ONB generator")
+
+
+class TestFftRouteOracles:
+    """The FFT kernels against the per-point and dense routes they replaced."""
+
+    def test_janssen_matches_scatter_loop(self):
+        cases = list(seeded_janssen_instances(30, seed=46, max_card=36))
+        rng = rng_for(47)
+        for orders, weight in [((6,), Fraction(1, 3)), ((2, 4), Fraction(5, 2)),
+                               ((3, 3), Fraction(1, 9)), ((2, 2, 2), 1)]:
+            G = FiniteLcaGroup(orders, weight)
+            g, h = gl.random_window(G, rng), gl.random_window(G, rng)
+            for delta in (random_plane_lattice(G, rng), TfLattice.full_plane(G),
+                          TfLattice.time_axis(G)):
+                cases.append((g, h, delta))
+        assert any(g.group.rank == 2 for g, _, _ in cases)
+        for g, h, delta in cases:
+            fast = gl.janssen_operator(g, h, delta)
+            assert np.max(np.abs(fast - janssen_by_scatter_loop(g, h, delta))) <= 1e-12
+
+    def test_stft_matches_dense_product_at_256_points(self):
+        rng = rng_for(48)
+        for G in (Z(256), Z(16, 16), FiniteLcaGroup((4, 64), Fraction(1, 8))):
+            f, g = gl.random_window(G, rng), gl.random_window(G, rng)
+            assert np.max(np.abs(gl.stft(f, g) - stft_by_dense_product(f, g))) <= 1e-12

@@ -13,6 +13,8 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
+    _coset_minima,
+    _index_sum,
     add_index_table,
     coords_matrix,
     parse_coord_tuples,
@@ -169,6 +171,15 @@ def birkhoff_delsarte_count(orders):
             count += term
         total *= count
     return total
+
+
+def coset_minima_by_loop(sub, xs):
+    """Oracle: one index sum over the candidates per element of the subgroup."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = np.full(xs.shape, sub.group.cardinality, dtype=np.int64)
+    for h in sub.index_array:
+        np.minimum(out, _index_sum(sub.group.orders, xs, h), out=out)
+    return out
 
 
 def generators_and_elements(sub):
@@ -504,6 +515,25 @@ class TestIndexCore:
             assert (x in H) == (x.coords in {e.coords for e in H.elements})
         assert H.is_subset_of(K) and not K.is_subset_of(H)
         assert H.index_array.flags.writeable is False
+
+    def test_add_index_table_matches_row_loop(self):
+        for orders in [(1,), (12,), (2, 6), (3, 4, 5), (2,) * 6, (4, 8, 16)]:
+            every = np.arange(math.prod(orders))
+            rows = np.array([_index_sum(orders, a, every) for a in every])
+            assert np.array_equal(add_index_table(orders), rows), orders
+
+    def test_coset_minima_match_loop_oracle(self):
+        rng = np.random.default_rng(48)
+        for orders in shapes_up_to(64):
+            G = FiniteLcaGroup(orders)
+            card = G.cardinality
+            picked = [G.element_by_index(int(i)) for i in rng.integers(card, size=2)]
+            subs = [gl.trivial_subgroup(G), gl.full_subgroup(G), gl.enumerate_subgroup(G, picked)]
+            xs_cases = [int(rng.integers(card)), np.arange(card), rng.integers(card, size=(3, 5))]
+            for H in subs:
+                for xs in xs_cases:
+                    fast, slow = _coset_minima(H, xs), coset_minima_by_loop(H, xs)
+                    assert fast.shape == slow.shape and np.array_equal(fast, slow), str(G)
 
     def test_coset_transversal_matches_covering_oracle(self):
         for orders in shapes_up_to(16):

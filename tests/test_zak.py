@@ -4,12 +4,26 @@ import pytest
 import gabor_lca as gl
 from gabor_lca.experiments import periodized_gaussian, seeded_zak_instances
 from gabor_lca.gabor import TfLattice
-from gabor_lca.groups import FiniteLcaGroup
+from gabor_lca.groups import FiniteLcaGroup, GroupShapeError, add_index_table, char_table
 from gabor_lca.zak import ZakGrid
 
 
 def Z(n):
     return FiniteLcaGroup((n,))
+
+
+def quasiperiodicity_full_scan(grid):
+    """Oracle: every pair (l, t) of lam x lam_perp, each gathering a full plane."""
+    orders = grid.window_group.orders
+    ADD, CHI = add_index_table(orders), char_table(orders)
+    F = grid.values
+    residual = 0.0
+    for l in grid.lattice.index_array:
+        factor = np.conj(CHI[:, l])[None, :]  # conj(<w, l>) per column w
+        for t in gl.annihilator(grid.lattice).index_array:
+            shifted = F[np.ix_(ADD[:, l], ADD[:, t])]
+            residual = max(residual, float(np.max(np.abs(shifted - factor * F))))
+    return residual
 
 
 class TestZakTransform:
@@ -61,6 +75,43 @@ class TestQuasiperiodicity:
         vals = grid.values.copy()
         vals[1, 1] += 0.25
         assert gl.quasiperiodicity_residual(ZakGrid(G, lam, vals)) > 0.1
+
+
+    def test_generator_pairs_bounded_by_full_scan(self):
+        for f, lam in seeded_zak_instances(25, seed=11, max_card=64):
+            grid = gl.zak_transform(f, lam)
+            residual = gl.quasiperiodicity_residual(grid)
+            assert residual <= quasiperiodicity_full_scan(grid) <= 1e-12
+
+    def test_single_entry_bump_is_seen(self):
+        rng = np.random.default_rng(12)
+        size = 1e-3
+        for f, lam in seeded_zak_instances(25, seed=13, max_card=64):
+            vals = gl.zak_transform(f, lam).values.copy()
+            x, w = rng.integers(f.group.cardinality, size=2)
+            vals[x, w] += size
+            bumped = ZakGrid(f.group, lam, vals)
+            assert gl.quasiperiodicity_residual(bumped) >= size - 1e-12
+
+    def test_frequency_periodicity_is_checked(self):
+        # over the trivial lattice only the generators of lam_perp see the bump
+        G = Z(4)
+        lam = gl.trivial_subgroup(G)
+        vals = gl.zak_transform(gl.delta_window(G), lam).values.copy()
+        vals[1, 2] += 1e-3
+        assert gl.quasiperiodicity_residual(ZakGrid(G, lam, vals)) >= 1e-3 - 1e-12
+
+    def test_residual_at_1024_points(self):
+        G = Z(1024)
+        lam = gl.enumerate_subgroup(G, [G.element((32,))])
+        assert lam.order == 32
+        f = gl.random_window(G, np.random.default_rng(14))
+        assert gl.quasiperiodicity_residual(gl.zak_transform(f, lam)) <= 1e-12
+
+    def test_lattice_of_another_group_refused(self):
+        for other in (Z(2), Z(8)):
+            with pytest.raises(GroupShapeError):
+                ZakGrid(Z(4), gl.full_subgroup(other), np.ones((4, 4)))
 
 
 class TestMinModulus:
