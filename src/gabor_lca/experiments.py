@@ -16,7 +16,6 @@ from .gabor import (
     Window,
     _adjoint_coefficients,
     _hermitian_frame_operator,
-    adjoint_lattice,
     frame_bounds,
     frame_operator,
     janssen_operator,
@@ -103,7 +102,7 @@ def window_stability_sweep(g: Window, delta: TfLattice,
     rng = np.random.default_rng(seed)
     direction = random_window(g.group, rng)
     direction = direction * (1.0 / s0_norm(direction, g))
-    adj = adjoint_lattice(delta)
+    adj = delta.adjoint
     inv_vol = 1.0 / float(delta.volume)
 
     rows = []

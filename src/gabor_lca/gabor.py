@@ -182,6 +182,11 @@ class TfLattice:
         w_idx.setflags(write=False)
         return x_idx, w_idx
 
+    @cached_property
+    def adjoint(self) -> "TfLattice":
+        """``adjoint_lattice(self)``, computed once; the lattice is frozen."""
+        return adjoint_lattice(self)
+
     @property
     def x_indices(self) -> np.ndarray:
         return self._split_indices[0]
@@ -309,6 +314,13 @@ def _check_system(g: Window, delta: TfLattice) -> None:
         raise GroupShapeError("lattice and window live on different groups")
 
 
+def _checked_adjoint(delta: TfLattice, adjoint: TfLattice | None) -> TfLattice:
+    """``delta.adjoint``; a given ``adjoint`` must equal it."""
+    if adjoint is not None and adjoint != delta.adjoint:
+        raise GroupShapeError("the given adjoint is not the adjoint lattice of delta")
+    return delta.adjoint
+
+
 def stft(f: Window, g: Window) -> np.ndarray:
     """Short-time Fourier transform V_g f over the full plane.
 
@@ -333,7 +345,11 @@ def s0_norm(f: Window, g: Window) -> float:
 
 
 def frame_operator(g: Window, h: Window, delta: TfLattice) -> np.ndarray:
-    """S f = sum_{z in Delta} <f, pi(z) g> pi(z) h, as a dense matrix."""
+    """S f = sum_{z in Delta} <f, pi(z) g> pi(z) h, as a dense matrix.
+
+    Always the sum over Delta: it is the oracle the adjoint route is
+    checked against.
+    """
     _check_system(g, delta)
     if h.group != g.group:
         raise GroupShapeError("analysis and synthesis windows on different groups")
@@ -354,13 +370,15 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
     fails on the diagonal lattice of the Z/2 plane.  FFT route: the inverse
     FFT of the coefficient grid C[x, w] over the frequency axes is
     A[x, t] = sum_w C[x, w] <w, t>, and J[t, s] = vol^{-1} A[t - s, t].
+    ``adjoint`` defaults to ``delta.adjoint``; any other lattice is refused
+    with ``GroupShapeError``.
     """
     _check_system(g, delta)
     if h.group != g.group:
         raise GroupShapeError("analysis and synthesis windows on different groups")
     grp = g.group
     card = grp.cardinality
-    adj = adjoint if adjoint is not None else adjoint_lattice(delta)
+    adj = _checked_adjoint(delta, adjoint)
     C = np.zeros((card, card), dtype=np.complex128)
     C[adj.x_indices, adj.w_indices] = _adjoint_coefficients(h, g, adj)
     A = np.fft.ifftn(C.reshape((card,) + grp.orders), axes=range(1, grp.rank + 1))
@@ -370,35 +388,56 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Extreme eigenvalues of the frame operator and the frame verdict."""
+    """Extreme eigenvalues of the frame operator and the frame verdict.
+
+    ``route`` names the side the operator was assembled on: ``"delta"`` (the
+    sum over the lattice) or ``"adjoint"`` (the Janssen sum over its adjoint).
+    """
 
     lower: float
     upper: float
     is_frame: bool
     condition: float | None
+    route: str = "delta"
 
     @classmethod
     def from_bounds(cls, lower: float, upper: float,
-                    tol_ratio: float = FRAME_TOLERANCE_RATIO) -> "FrameReport":
+                    tol_ratio: float = FRAME_TOLERANCE_RATIO,
+                    route: str = "delta") -> "FrameReport":
         lower = max(lower, 0.0)
         is_frame = upper > 0.0 and lower > tol_ratio * upper
         condition = (upper / lower) if is_frame else None
-        return cls(lower, upper, is_frame, condition)
+        return cls(lower, upper, is_frame, condition, route)
 
 
 def _hermitian_frame_operator(g: Window, delta: TfLattice,
                               tol_ratio: float = FRAME_TOLERANCE_RATIO
                               ) -> tuple[np.ndarray, FrameReport]:
-    """The symmetrized frame operator of g and the report of its spectrum."""
-    S = frame_operator(g, g, delta)
+    """The symmetrized frame operator of g and the report of its spectrum.
+
+    S is assembled on the smaller side.  Since |Delta| * |adjoint| = |G|^2,
+    an oversampled lattice (|Delta| > |G|, vol(Delta) < 1) has fewer adjoint
+    points than |G|, so S is the Janssen sum over ``delta.adjoint``; otherwise
+    it is the dense sum over Delta.  The report records the route.
+    """
+    if delta.order > g.group.cardinality:
+        route = "adjoint"
+        S = janssen_operator(g, g, delta)
+    else:
+        route = "delta"
+        S = frame_operator(g, g, delta)
     S = 0.5 * (S + S.conj().T)
     eigs = np.linalg.eigvalsh(S)
-    return S, FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), tol_ratio)
+    return S, FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), tol_ratio, route)
 
 
 def frame_bounds(g: Window, delta: TfLattice,
                  tol_ratio: float = FRAME_TOLERANCE_RATIO) -> FrameReport:
-    """Optimal frame bounds = extreme eigenvalues of the frame operator."""
+    """Optimal frame bounds = extreme eigenvalues of the frame operator.
+
+    The operator is assembled on the smaller of Delta and its adjoint (see
+    ``_hermitian_frame_operator``); ``FrameReport.route`` says which.
+    """
     if g.is_zero():
         raise ValueError("frame bounds of the zero window")
     return _hermitian_frame_operator(g, delta, tol_ratio)[1]
@@ -422,10 +461,12 @@ def wexler_raz_check(g: Window, h: Window, delta: TfLattice,
     Verifies <g, pi(z) h> = kappa(Delta) * delta_{z,0} for z in the adjoint.
     kappa = vol(Delta): frozen after brute-force calibration against known
     dual pairs (see tests); the reciprocal constant fails already on Z/2.
+    ``adjoint`` defaults to ``delta.adjoint``; any other lattice is refused
+    with ``GroupShapeError``.
     """
     _check_system(g, delta)
     kappa = float(delta.volume)
-    adj = adjoint if adjoint is not None else adjoint_lattice(delta)
+    adj = _checked_adjoint(delta, adjoint)
     target = np.where(adj.subgroup.index_array == 0, kappa, 0.0)
     residual = float(np.max(np.abs(_adjoint_coefficients(g, h, adj) - target)))
     return WexlerRazResult(residual <= tol, residual, kappa)
@@ -433,7 +474,11 @@ def wexler_raz_check(g: Window, h: Window, delta: TfLattice,
 
 def canonical_dual(g: Window, delta: TfLattice,
                    tol_ratio: float = FRAME_TOLERANCE_RATIO) -> Window:
-    """h = S^{-1} g; the frame-type operator S_{g,h} is then the identity."""
+    """h = S^{-1} g; the frame-type operator S_{g,h} is then the identity.
+
+    S is assembled on the smaller of Delta and its adjoint, as in
+    ``frame_bounds`` (|Delta| * |adjoint| = |G|^2).
+    """
     S, report = _hermitian_frame_operator(g, delta, tol_ratio)
     if not report.is_frame:
         raise NotAFrameError(
@@ -460,6 +505,7 @@ def density_check(delta: TfLattice) -> DensityVerdict:
 def _require_onb(g: Window, delta: TfLattice, tol: float, who: str) -> None:
     if delta.order != g.group.cardinality:
         raise WindowNotOnbError(f"{who}: {delta.order} lattice points, not |G| = {len(g.values)}")
+    # |Delta| = |G| = |adjoint| here, so the dense Delta side is no larger.
     S = frame_operator(g, g, delta)
     defect = float(np.max(np.abs(S - np.eye(g.group.cardinality))))
     if defect > tol:
@@ -535,7 +581,8 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     delta1 x (K x K_perp), the biorthogonality <g~, pi(z) h~> =
     vol(delta1) * [base part of z is 0] holds across the product adjoint.
     The indicator inner products collapse the product condition onto the base
-    one, so the two verdicts agree.
+    one, so the two verdicts agree.  The base side keeps the dense
+    ``frame_operator`` on purpose: this is a brute-force harness.
     """
     base = g.group
     if h.group != base or delta1.base_group != base:

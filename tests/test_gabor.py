@@ -18,6 +18,7 @@ from gabor_lca.gabor import (
     Window,
     WindowNotOnbError,
     _adjoint_coefficients,
+    _hermitian_frame_operator,
     _product_lattice,
     _system_columns,
 )
@@ -955,3 +956,106 @@ class TestFftRouteOracles:
         for G in (Z(256), Z(16, 16), FiniteLcaGroup((4, 64), Fraction(1, 8))):
             f, g = gl.random_window(G, rng), gl.random_window(G, rng)
             assert np.max(np.abs(gl.stft(f, g) - stft_by_dense_product(f, g))) <= 1e-12
+
+
+def symmetrized_delta_side(g, delta):
+    """Oracle: the dense sum over Delta, symmetrized as the library does."""
+    S = gl.frame_operator(g, g, delta)
+    return 0.5 * (S + S.conj().T)
+
+
+def seeded_lattices_by_volume(seed, volumes, per_volume, max_card=64):
+    """(g, Delta) pairs, ``per_volume`` random plane lattices of each volume."""
+    rng = rng_for(seed)
+    found = {v: [] for v in volumes}
+    for _ in range(5000):
+        if all(len(v) == per_volume for v in found.values()):
+            break
+        G = random_group(rng, max_card)
+        delta = random_plane_lattice(G, rng)
+        bucket = found.get(delta.volume)
+        if bucket is not None and len(bucket) < per_volume:
+            bucket.append((gl.random_window(G, rng), delta))
+    assert all(len(v) == per_volume for v in found.values())
+    return found
+
+
+class TestSmallerSideRoute:
+    """Frame bounds and duals on the smaller of Delta and its adjoint."""
+
+    VOLUMES = (Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(2))
+
+    def cases(self):
+        found = seeded_lattices_by_volume(50, self.VOLUMES, per_volume=6)
+        cases = [c for v in self.VOLUMES for c in found[v]]
+        rng = rng_for(51)
+        for G in (Z(64), Z(8, 8)):
+            cases.append((gl.random_window(G, rng), TfLattice.full_plane(G)))
+        return cases
+
+    def test_matches_delta_side_oracle(self):
+        routes = set()
+        for g, delta in self.cases():
+            S, report = _hermitian_frame_operator(g, delta)
+            routes.add(report.route)
+            oracle = symmetrized_delta_side(g, delta)
+            assert np.max(np.abs(S - oracle)) <= 1e-10
+            eigs = np.linalg.eigvalsh(oracle)
+            bounds = gl.frame_bounds(g, delta)
+            assert abs(bounds.lower - max(float(eigs[0]), 0.0)) <= 1e-9
+            assert abs(bounds.upper - float(eigs[-1])) <= 1e-9
+            assert bounds.is_frame == (delta.volume <= 1)
+            if bounds.is_frame:
+                h = gl.canonical_dual(g, delta)
+                assert np.max(np.abs(h.values - np.linalg.solve(oracle, g.values))) <= 1e-12
+        assert routes == {"adjoint", "delta"}
+
+    def test_route_follows_point_count(self, monkeypatch):
+        rng = rng_for(52)
+        found = seeded_lattices_by_volume(53, (Fraction(1), Fraction(2)), per_volume=3)
+        for g, delta in found[Fraction(1)] + found[Fraction(2)]:
+            assert delta.order <= g.group.cardinality
+            assert gl.frame_bounds(g, delta).route == "delta"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Delta-side assembly on an oversampled lattice")
+
+        monkeypatch.setattr("gabor_lca.gabor.frame_operator", refuse)
+        for G in (Z(64), Z(8, 8)):
+            g = gl.random_window(G, rng)
+            delta = TfLattice.full_plane(G)
+            report = gl.frame_bounds(g, delta)
+            assert report.route == "adjoint" and report.is_frame
+            h = gl.canonical_dual(g, delta)
+            assert gl.wexler_raz_check(g, h, delta).holds
+        G = Z(8)
+        sweep = gl.window_stability_sweep(gl.random_window(G, rng), TfLattice.full_plane(G),
+                                          [0.0, 0.1])
+        assert sweep.passed
+
+    def test_adjoint_is_cached_on_the_lattice(self):
+        rng = rng_for(54)
+        for _ in range(10):
+            G = random_group(rng, 36)
+            delta = random_plane_lattice(G, rng)
+            adj = delta.adjoint
+            assert delta.adjoint is adj
+            assert adj == gl.adjoint_lattice(delta)
+
+    def test_wrong_adjoint_refused(self):
+        G = Z(4)
+        rng = rng_for(55)
+        g, h = gl.random_window(G, rng), gl.random_window(G, rng)
+        delta = TfLattice.full_plane(G)
+        for wrong in (gl.adjoint_lattice(TfLattice.time_axis(G)),
+                      gl.adjoint_lattice(TfLattice.full_plane(Z(2)))):
+            with pytest.raises(GroupShapeError, match="not the adjoint lattice"):
+                gl.janssen_operator(g, h, delta, adjoint=wrong)
+            with pytest.raises(GroupShapeError, match="not the adjoint lattice"):
+                gl.wexler_raz_check(g, h, delta, adjoint=wrong)
+        # an equal lattice built separately is accepted and changes nothing
+        fresh = gl.adjoint_lattice(delta)
+        assert fresh is not delta.adjoint
+        assert np.array_equal(gl.janssen_operator(g, h, delta, adjoint=fresh),
+                              gl.janssen_operator(g, h, delta))
+        assert gl.wexler_raz_check(g, h, delta, adjoint=fresh) == gl.wexler_raz_check(g, h, delta)
