@@ -203,10 +203,7 @@ def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVec
 
 def _cmd_frame_bounds(args) -> int:
     from . import gabor
-    from .groups import parse_group_spec
-    group = parse_group_spec(args.group)
-    g = parse_window_literal(group, args.window)
-    delta = parse_lattice_literal(group, args.lattice)
+    group, g, delta = _system_of_args(args)
     report = gabor.frame_bounds(g, delta)
     _emit({"group": str(group), "lattice": format_lattice_literal(delta),
            "volume": delta.volume, "lower": report.lower, "upper": report.upper,
@@ -225,10 +222,7 @@ def _cmd_janssen_check(args) -> int:
 
 def _cmd_wexler_raz(args) -> int:
     from . import gabor
-    from .groups import parse_group_spec
-    group = parse_group_spec(args.group)
-    g = parse_window_literal(group, args.window)
-    delta = parse_lattice_literal(group, args.lattice)
+    group, g, delta = _system_of_args(args)
     if args.dual_window is not None:
         h = parse_window_literal(group, args.dual_window)
     else:
@@ -251,6 +245,15 @@ def _cmd_adjoint(args) -> int:
            "adjoint_elements": coords_matrix(adj.subgroup.group.orders)[
                adj.subgroup.index_array].tolist()})
     return 0
+
+
+def _system_of_args(args):
+    """The group, window and lattice named by ``--group``, ``--window`` and
+    ``--lattice``, parsed in that order."""
+    from .groups import parse_group_spec
+    group = parse_group_spec(args.group)
+    g = parse_window_literal(group, args.window)
+    return group, g, parse_lattice_literal(group, args.lattice)
 
 
 def _zak_of_args(args):
@@ -362,11 +365,8 @@ def _cmd_deform_margin(args) -> int:
 
 def _cmd_transference_check(args) -> int:
     from . import gabor
-    from .groups import parse_group_spec
-    group = parse_group_spec(args.group)
-    g = parse_window_literal(group, args.window)
+    group, g, delta = _system_of_args(args)
     h = parse_window_literal(group, args.dual_window)
-    delta = parse_lattice_literal(group, args.lattice)
     result = gabor.finite_transference_check(g, h, delta, args.M, args.d, tol=args.tol)
     _emit({"base_is_dual_pair": result.base_is_dual_pair,
            "base_residual": result.base_residual,
@@ -389,10 +389,7 @@ def _print_report(report: experiments.SweepReport, fmt: str) -> None:
 
 def _cmd_sweep_window(args) -> int:
     from . import experiments
-    from .groups import parse_group_spec
-    group = parse_group_spec(args.group)
-    g = parse_window_literal(group, args.window)
-    delta = parse_lattice_literal(group, args.lattice)
+    _, g, delta = _system_of_args(args)
     eps = [float(v) for v in args.eps.split(",") if v.strip() != ""]
     report = experiments.window_stability_sweep(g, delta, eps, seed=args.seed)
     _print_report(report, args.format)

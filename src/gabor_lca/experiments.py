@@ -33,6 +33,12 @@ from .zak import min_modulus, zak_transform
 #: Strict-monotonicity assertions allow this much floating-point slack.
 MONOTONICITY_SLACK = 1e-9
 
+#: Random plane lattices and subgroups have 1 to this many random generators.
+PLANE_LATTICE_GENERATORS = 3
+SUBGROUP_GENERATORS = 2
+#: Seeded frames are kept only up to this condition number B/A.
+FRAME_CONDITION_CAP = 1e4
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -58,8 +64,6 @@ class SweepReport:
 def _csv_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -259,18 +263,16 @@ def random_group(rng: np.random.Generator, max_card: int = 36) -> FiniteLcaGroup
     return FiniteLcaGroup(pool[int(rng.integers(len(pool)))])
 
 
-def random_plane_lattice(group: FiniteLcaGroup, rng: np.random.Generator,
-                         max_generators: int = 3) -> TfLattice:
+def random_plane_lattice(group: FiniteLcaGroup, rng: np.random.Generator) -> TfLattice:
     plane = group.plane()
-    n_gens = int(rng.integers(1, max_generators + 1))
+    n_gens = int(rng.integers(1, PLANE_LATTICE_GENERATORS + 1))
     gens = [plane.element_by_index(int(rng.integers(plane.cardinality)))
             for _ in range(n_gens)]
     return TfLattice(group, enumerate_subgroup(plane, gens))
 
 
-def random_subgroup(group: FiniteLcaGroup, rng: np.random.Generator,
-                    max_generators: int = 2) -> Subgroup:
-    n_gens = int(rng.integers(1, max_generators + 1))
+def random_subgroup(group: FiniteLcaGroup, rng: np.random.Generator) -> Subgroup:
+    n_gens = int(rng.integers(1, SUBGROUP_GENERATORS + 1))
     gens = [group.element_by_index(int(rng.integers(group.cardinality)))
             for _ in range(n_gens)]
     return enumerate_subgroup(group, gens)
@@ -298,9 +300,9 @@ def janssen_max_defect(count: int, seed: int = 0, max_card: int = 36) -> float:
     return worst
 
 
-def seeded_frame_instances(count: int, seed: int = 0, max_card: int = 36,
-                           max_condition: float = 1e4) -> Iterator[tuple[Window, TfLattice]]:
-    """Random certified frames (volume <= 1, moderate conditioning)."""
+def seeded_frame_instances(count: int, seed: int = 0,
+                           max_card: int = 36) -> Iterator[tuple[Window, TfLattice]]:
+    """Random certified frames (volume <= 1, B/A <= ``FRAME_CONDITION_CAP``)."""
     rng = np.random.default_rng(seed)
     produced = 0
     while produced < count:
@@ -310,7 +312,7 @@ def seeded_frame_instances(count: int, seed: int = 0, max_card: int = 36,
             continue
         g = random_window(group, rng)
         report = frame_bounds(g, delta)
-        if not report.is_frame or report.condition > max_condition:
+        if not report.is_frame or report.condition > FRAME_CONDITION_CAP:
             continue
         produced += 1
         yield g, delta

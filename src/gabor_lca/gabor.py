@@ -25,11 +25,11 @@ from .groups import (
     _coset_minima,
     _index_sum,
     _pair_exponents,
+    _phases,
     _unit_coords,
     annihilator,
     char_table,
     coords_matrix,
-    coset_transversal,
     enumerate_subgroup,
     lattice_volume,
     sub_index_table,
@@ -38,7 +38,7 @@ from .groups import (
 
 #: A Gabor system is declared a frame when the lower bound exceeds this
 #: fraction of the upper bound; separates exact rank deficiency from
-#: conditioning at desk scale.
+#: conditioning at desk scale.  Every frame verdict uses this one threshold.
 FRAME_TOLERANCE_RATIO = 1e-9
 
 
@@ -166,7 +166,7 @@ class TfLattice:
     def order(self) -> int:
         return self.subgroup.order
 
-    @property
+    @cached_property
     def volume(self) -> Fraction:
         return lattice_volume(self.subgroup)
 
@@ -194,11 +194,6 @@ class TfLattice:
     @property
     def w_indices(self) -> np.ndarray:
         return self._split_indices[1]
-
-    def split(self, z: GroupElement) -> tuple[GroupElement, DualElement]:
-        k = self.base_group.rank
-        return (self.base_group.element(z.coords[:k]),
-                self.base_group.dual().element(z.coords[k:]))
 
     @classmethod
     def from_plane_generators(
@@ -280,7 +275,7 @@ def commutation_exponent(z: GroupElement, w: GroupElement) -> tuple[int, int]:
 def commutation_defect(z: GroupElement, w: GroupElement) -> complex:
     """tau(x) * conj(omega(y)); equals 1 exactly when pi(z) and pi(w) commute."""
     e, N = commutation_exponent(z, w)
-    return complex(np.exp(2j * np.pi * (e / N)))
+    return complex(_phases(e, N))
 
 
 def adjoint_lattice(delta: TfLattice) -> TfLattice:
@@ -309,9 +304,15 @@ def _adjoint_coefficients(g: Window, h: Window, adj: TfLattice) -> np.ndarray:
     return float(g.group.weight) * (_system_columns(h, adj).conj().T @ g.values)
 
 
-def _check_system(g: Window, delta: TfLattice) -> None:
-    if delta.base_group != g.group:
+def _check_system(delta: TfLattice, *windows: Window) -> None:
+    """Every window of a Gabor system over ``delta`` lives on its base group."""
+    if any(w.group != delta.base_group for w in windows):
         raise GroupShapeError("lattice and window live on different groups")
+
+
+def _identity_defect(M: np.ndarray) -> float:
+    """max |M - I| over the entries of a square matrix."""
+    return float(np.max(np.abs(M - np.eye(len(M)))))
 
 
 def _checked_adjoint(delta: TfLattice, adjoint: TfLattice | None) -> TfLattice:
@@ -350,11 +351,9 @@ def frame_operator(g: Window, h: Window, delta: TfLattice) -> np.ndarray:
     Always the sum over Delta: it is the oracle the adjoint route is
     checked against.
     """
-    _check_system(g, delta)
-    if h.group != g.group:
-        raise GroupShapeError("analysis and synthesis windows on different groups")
+    _check_system(delta, g, h)
     P = _system_columns(g, delta)
-    Q = _system_columns(h, delta)
+    Q = P if h is g else _system_columns(h, delta)
     return float(g.group.weight) * (Q @ P.conj().T)
 
 
@@ -373,9 +372,7 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
     ``adjoint`` defaults to ``delta.adjoint``; any other lattice is refused
     with ``GroupShapeError``.
     """
-    _check_system(g, delta)
-    if h.group != g.group:
-        raise GroupShapeError("analysis and synthesis windows on different groups")
+    _check_system(delta, g, h)
     grp = g.group
     card = grp.cardinality
     adj = _checked_adjoint(delta, adjoint)
@@ -401,18 +398,14 @@ class FrameReport:
     route: str = "delta"
 
     @classmethod
-    def from_bounds(cls, lower: float, upper: float,
-                    tol_ratio: float = FRAME_TOLERANCE_RATIO,
-                    route: str = "delta") -> "FrameReport":
+    def from_bounds(cls, lower: float, upper: float, route: str = "delta") -> "FrameReport":
         lower = max(lower, 0.0)
-        is_frame = upper > 0.0 and lower > tol_ratio * upper
+        is_frame = upper > 0.0 and lower > FRAME_TOLERANCE_RATIO * upper
         condition = (upper / lower) if is_frame else None
         return cls(lower, upper, is_frame, condition, route)
 
 
-def _hermitian_frame_operator(g: Window, delta: TfLattice,
-                              tol_ratio: float = FRAME_TOLERANCE_RATIO
-                              ) -> tuple[np.ndarray, FrameReport]:
+def _hermitian_frame_operator(g: Window, delta: TfLattice) -> tuple[np.ndarray, FrameReport]:
     """The symmetrized frame operator of g and the report of its spectrum.
 
     S is assembled on the smaller side.  Since |Delta| * |adjoint| = |G|^2,
@@ -428,19 +421,19 @@ def _hermitian_frame_operator(g: Window, delta: TfLattice,
         S = frame_operator(g, g, delta)
     S = 0.5 * (S + S.conj().T)
     eigs = np.linalg.eigvalsh(S)
-    return S, FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), tol_ratio, route)
+    return S, FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), route)
 
 
-def frame_bounds(g: Window, delta: TfLattice,
-                 tol_ratio: float = FRAME_TOLERANCE_RATIO) -> FrameReport:
+def frame_bounds(g: Window, delta: TfLattice) -> FrameReport:
     """Optimal frame bounds = extreme eigenvalues of the frame operator.
 
     The operator is assembled on the smaller of Delta and its adjoint (see
-    ``_hermitian_frame_operator``); ``FrameReport.route`` says which.
+    ``_hermitian_frame_operator``); ``FrameReport.route`` says which.  It is
+    a frame when lower > ``FRAME_TOLERANCE_RATIO`` * upper.
     """
     if g.is_zero():
         raise ValueError("frame bounds of the zero window")
-    return _hermitian_frame_operator(g, delta, tol_ratio)[1]
+    return _hermitian_frame_operator(g, delta)[1]
 
 
 @dataclass(frozen=True)
@@ -464,7 +457,7 @@ def wexler_raz_check(g: Window, h: Window, delta: TfLattice,
     ``adjoint`` defaults to ``delta.adjoint``; any other lattice is refused
     with ``GroupShapeError``.
     """
-    _check_system(g, delta)
+    _check_system(delta, g, h)
     kappa = float(delta.volume)
     adj = _checked_adjoint(delta, adjoint)
     target = np.where(adj.subgroup.index_array == 0, kappa, 0.0)
@@ -472,14 +465,14 @@ def wexler_raz_check(g: Window, h: Window, delta: TfLattice,
     return WexlerRazResult(residual <= tol, residual, kappa)
 
 
-def canonical_dual(g: Window, delta: TfLattice,
-                   tol_ratio: float = FRAME_TOLERANCE_RATIO) -> Window:
+def canonical_dual(g: Window, delta: TfLattice) -> Window:
     """h = S^{-1} g; the frame-type operator S_{g,h} is then the identity.
 
     S is assembled on the smaller of Delta and its adjoint, as in
-    ``frame_bounds`` (|Delta| * |adjoint| = |G|^2).
+    ``frame_bounds`` (|Delta| * |adjoint| = |G|^2); ``NotAFrameError`` when
+    its verdict, under the same threshold, is not a frame.
     """
-    S, report = _hermitian_frame_operator(g, delta, tol_ratio)
+    S, report = _hermitian_frame_operator(g, delta)
     if not report.is_frame:
         raise NotAFrameError(
             f"system is not a frame (bounds {report.lower:.3e}, {report.upper:.3e})")
@@ -503,11 +496,11 @@ def density_check(delta: TfLattice) -> DensityVerdict:
 
 
 def _require_onb(g: Window, delta: TfLattice, tol: float, who: str) -> None:
+    _check_system(delta, g)
     if delta.order != g.group.cardinality:
         raise WindowNotOnbError(f"{who}: {delta.order} lattice points, not |G| = {len(g.values)}")
     # |Delta| = |G| = |adjoint| here, so the dense Delta side is no larger.
-    S = frame_operator(g, g, delta)
-    defect = float(np.max(np.abs(S - np.eye(g.group.cardinality))))
+    defect = _identity_defect(frame_operator(g, g, delta))
     if defect > tol:
         raise WindowNotOnbError(f"{who} does not generate an orthonormal basis "
                                 f"(identity defect {defect:.3e})")
@@ -516,8 +509,6 @@ def _require_onb(g: Window, delta: TfLattice, tol: float, who: str) -> None:
 def tensor_onb(g1: Window, delta1: TfLattice, g2: Window, delta2: TfLattice,
                tol: float = 1e-9) -> tuple[Window, TfLattice]:
     """Tensor of two ONB generators is an ONB generator over the product lattice."""
-    _check_system(g1, delta1)
-    _check_system(g2, delta2)
     _require_onb(g1, delta1, tol, "first input")
     _require_onb(g2, delta2, tol, "second input")
     lattice = _product_lattice(delta1, delta2)
@@ -584,14 +575,11 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     one, so the two verdicts agree.  The base side keeps the dense
     ``frame_operator`` on purpose: this is a brute-force harness.
     """
-    base = g.group
-    if h.group != base or delta1.base_group != base:
-        raise GroupShapeError("windows and lattice must share one base group")
+    _check_system(delta1, g, h)
     _, K, K_perp = compact_open_surrogate(M, d)
     one_k = indicator_window(K)
 
-    S1 = frame_operator(g, h, delta1)
-    base_residual = float(np.max(np.abs(S1 - np.eye(base.cardinality))))
+    base_residual = _identity_defect(frame_operator(g, h, delta1))
     base_ok = base_residual <= tol
 
     product_lattice = _product_lattice(delta1, TfLattice.separable(K, K_perp))
@@ -602,7 +590,7 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     assert product_lattice.volume == vol
 
     adj = adjoint_lattice(product_lattice)
-    k = base.rank
+    k = delta1.base_group.rank
     coords = coords_matrix(adj.subgroup.group.orders)[adj.subgroup.index_array]
     base_part_zero = ~coords[:, :k].any(axis=1) & ~coords[:, k + 1:2 * k + 1].any(axis=1)
     target = np.where(base_part_zero, float(vol), 0.0)
@@ -613,16 +601,30 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     return TransferenceResult(base_ok, base_residual, product_ok, product_residual, vol)
 
 
-def _window_values_on(sub: Subgroup,
-                      values: Mapping[GroupElement, complex] | Sequence[complex]) -> np.ndarray:
-    if isinstance(values, Mapping):
-        keyed = {e.coords: v for e, v in values.items()}
-        rows = coords_matrix(sub.group.orders)[sub.index_array].tolist()
-        return np.array([keyed.get(tuple(c), 0.0) for c in rows], dtype=np.complex128)
-    arr = np.asarray(list(values), dtype=np.complex128)
-    if arr.shape != (sub.order,):
-        raise ValueError(f"need {sub.order} values, got {arr.shape}")
-    return arr
+def _values_on(points: np.ndarray, modulo: Subgroup,
+               values: Mapping[GroupElement, complex] | Sequence[complex]) -> np.ndarray:
+    """Window values on ``points``, the sorted indices smallest in their cosets of ``modulo``.
+
+    A sequence lists them in order.  A Mapping keys each coset by one of its
+    elements, and a coset it leaves out gets 0; a key of another group, a key
+    whose coset has no point, and two keys in one coset are refused.
+    """
+    if not isinstance(values, Mapping):
+        arr = np.asarray(list(values), dtype=np.complex128)
+        if arr.shape != points.shape:
+            raise ValueError(f"need {len(points)} values, got {arr.shape}")
+        return arr
+    if any(e.group != modulo.group for e in values):
+        raise GroupShapeError("values keyed by elements of another group")
+    canon = _coset_minima(modulo, [e.index for e in values])
+    at = np.searchsorted(points, canon).clip(max=len(points) - 1)
+    if np.any(points[at] != canon):
+        raise ValueError("a value is keyed outside the subgroup")
+    if len(set(at.tolist())) < len(at):
+        raise ValueError("two values given for one coset")
+    out = np.zeros(len(points), dtype=np.complex128)
+    out[at] = list(values.values())
+    return out
 
 
 def _gram_defect(values: np.ndarray, points: np.ndarray, modulo: Subgroup,
@@ -638,13 +640,12 @@ def _gram_defect(values: np.ndarray, points: np.ndarray, modulo: Subgroup,
     orders = group.orders
     C = coords_matrix(orders)
     E, N = _pair_exponents(orders, C[points], C[chars])
-    phases = np.exp(2j * np.pi * (E / N))
+    phases = _phases(E, N)
     moved = _coset_minima(modulo, _index_sum(orders, points[:, None], shifts, sign=-1))
     position = np.empty(group.cardinality, dtype=np.int64)
     position[points] = np.arange(len(points))
     V = (values[position[moved]][:, :, None] * phases[:, None, :]).reshape(len(points), -1)
-    gram = float(group.weight) * (V.conj().T @ V)
-    return float(np.max(np.abs(gram - np.eye(V.shape[1]))))
+    return _identity_defect(float(group.weight) * (V.conj().T @ V))
 
 
 def lift_finite_index(group: FiniteLcaGroup, sub: Subgroup,
@@ -657,6 +658,9 @@ def lift_finite_index(group: FiniteLcaGroup, sub: Subgroup,
     Given g on H with an orthonormal Gabor system over lam x lam_perp (inside
     H), the window g~(x + y_j) = g(x)/sqrt(k) over the k coset representatives
     generates an orthonormal basis over lam x lam_perp in the full group.
+
+    ``values`` is g on ``sub`` in index order, or a Mapping from elements of
+    ``sub`` (others get 0; keys off ``sub`` are refused).
     """
     if sub.group != group:
         raise GroupShapeError("subgroup belongs to a different group")
@@ -665,22 +669,25 @@ def lift_finite_index(group: FiniteLcaGroup, sub: Subgroup,
     if not lam.is_subset_of(sub):
         raise ValueError("lattice must be contained in the subgroup")
     k = group.cardinality // sub.order
-    reps = list(coset_reps) if coset_reps is not None else coset_transversal(group, sub)
-    if len(reps) != k:
-        raise ValueError(f"need {k} coset representatives, got {len(reps)}")
-    for rep in reps:
-        if rep.group != group:
-            raise GroupShapeError("coset representative outside the group")
-    rep_idx = np.array([rep.index for rep in reps], dtype=np.int64)
-    if len(set(_coset_minima(sub, rep_idx).tolist())) != k:
-        raise ValueError("coset representatives are not a transversal")
-    vals_on_sub = _window_values_on(sub, values)
+    if coset_reps is None:
+        rep_idx = _coset_leaders(sub, np.arange(group.cardinality))
+    else:
+        reps = list(coset_reps)
+        if len(reps) != k:
+            raise ValueError(f"need {k} coset representatives, got {len(reps)}")
+        for rep in reps:
+            if rep.group != group:
+                raise GroupShapeError("coset representative outside the group")
+        rep_idx = np.array([rep.index for rep in reps], dtype=np.int64)
+        if len(set(_coset_minima(sub, rep_idx).tolist())) != k:
+            raise ValueError("coset representatives are not a transversal")
+    trivial = trivial_subgroup(group)
+    vals_on_sub = _values_on(sub.index_array, trivial, values)
 
     # The system runs over lam x (lam_perp modulo sub_perp): characters of the
     # subgroup are restrictions of ambient characters.
     chars = _coset_leaders(annihilator(sub), annihilator(lam).index_array)
-    defect = _gram_defect(vals_on_sub, sub.index_array, trivial_subgroup(group),
-                          lam.index_array, chars)
+    defect = _gram_defect(vals_on_sub, sub.index_array, trivial, lam.index_array, chars)
     if defect > tol:
         raise WindowNotOnbError(
             f"input window is not an ONB generator on the subgroup (defect {defect:.3e})")
@@ -697,8 +704,9 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
                          tol: float = 1e-9) -> tuple[Window, TfLattice]:
     """Pull an ONB generator on G/F back to G; Fourier-conjugate of the lift.
 
-    ``values`` describes a window on the quotient G/F, keyed by coset
-    representatives (or aligned with the canonical transversal).  Its Fourier
+    ``values`` is a window on the quotient G/F, aligned with the canonical
+    transversal, or a Mapping keyed by any element of each coset (one key per
+    coset; a coset left out gets 0).  Its Fourier
     transform lives on the annihilator of F, is lifted across the dual group,
     and is transformed back.  Requires F inside lam and the quotient system
     over p(lam) x p(lam)_perp to be an orthonormal basis.
@@ -709,20 +717,7 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
         raise ValueError("finite subgroup must be contained in the lattice")
 
     rep_idx = _coset_leaders(finite_sub, np.arange(group.cardinality))
-    if isinstance(values, Mapping):
-        keyed: dict[int, complex] = {}
-        for e, v in values.items():
-            if e.group != group:
-                raise GroupShapeError("quotient values keyed by elements of another group")
-            canon = int(_coset_minima(finite_sub, e.index))
-            if canon in keyed:
-                raise ValueError(f"two values given for the coset of {e}")
-            keyed[canon] = v
-        quot_vals = np.array([keyed.get(i, 0.0) for i in rep_idx.tolist()], dtype=np.complex128)
-    else:
-        quot_vals = np.asarray(list(values), dtype=np.complex128)
-        if quot_vals.shape != rep_idx.shape:
-            raise ValueError(f"need {len(rep_idx)} quotient values, got {quot_vals.shape}")
+    quot_vals = _values_on(rep_idx, finite_sub, values)
 
     # The quotient system runs over p(lam) x p(lam)_perp; annihilator(lam)
     # lies inside annihilator(F), so it is read on G/F unchanged.
@@ -738,7 +733,7 @@ def push_finite_subgroup(group: FiniteLcaGroup, finite_sub: Subgroup,
     f_perp = annihilator(finite_sub)
     C = coords_matrix(group.orders)
     E, N = _pair_exponents(group.orders, C[f_perp.index_array], C[rep_idx])
-    fhat = (np.exp(-2j * np.pi * (E / N)) @ quot_vals) * math.sqrt(finite_sub.order)
+    fhat = (_phases(E, N).conj() @ quot_vals) * math.sqrt(finite_sub.order)
 
     gamma, _ = lift_finite_index(group.dual(), f_perp, fhat, lam=lam_perp, tol=tol)
     lifted = inverse_fourier_transform(gamma)

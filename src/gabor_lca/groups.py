@@ -183,7 +183,7 @@ def pairing_exponent(omega: GroupElement, x: GroupElement) -> tuple[int, int]:
 def pairing(omega: GroupElement, x: GroupElement) -> complex:
     """Unit-modulus character value <omega, x> = exp(2*pi*i sum omega_i x_i / n_i)."""
     e, N = pairing_exponent(omega, x)
-    return complex(np.exp(2j * np.pi * (e / N)))
+    return complex(_phases(e, N))
 
 
 def pairing_is_one(omega: GroupElement, x: GroupElement) -> bool:
@@ -231,6 +231,11 @@ def _pair_exponents(orders: tuple[int, ...], a, b) -> tuple[np.ndarray, int]:
     return (a * scale) @ b.T % N, N
 
 
+def _phases(E, N: int):
+    """exp(2*pi*i*E/N): the one place where exact pairing exponents become floats."""
+    return np.exp(2j * np.pi * (E / N))
+
+
 def _annihilated(orders: tuple[int, ...], rows) -> np.ndarray:
     """Indices of the points that pair trivially with every coordinate row.
 
@@ -248,7 +253,7 @@ def _index_sum(orders: tuple[int, ...], a, b, sign: int = 1) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def pair_exponent_table(orders: tuple[int, ...]) -> np.ndarray:
-    """E[w, x] = exact pairing exponent mod N, so CHI = exp(2*pi*i*E/N)."""
+    """E[w, x] = exact pairing exponent mod N, so CHI = _phases(E, N)."""
     _check_table_size(orders)
     C = coords_matrix(orders)
     E, _ = _pair_exponents(orders, C, C)
@@ -259,9 +264,7 @@ def pair_exponent_table(orders: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def char_table(orders: tuple[int, ...]) -> np.ndarray:
     """CHI[w, x] = <w, x> as complex128 (read-only)."""
-    E = pair_exponent_table(orders)
-    N = math.lcm(*orders)
-    CHI = np.exp(2j * np.pi * (E / N))
+    CHI = _phases(pair_exponent_table(orders), math.lcm(*orders))
     CHI.setflags(write=False)
     return CHI
 

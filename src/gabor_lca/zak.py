@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import FRAME_TOLERANCE_RATIO, FrameReport, Window
+from .gabor import FrameReport, Window
 from .groups import (
     FiniteLcaGroup,
     GroupElement,
@@ -15,6 +15,7 @@ from .groups import (
     Subgroup,
     _index_sum,
     _pair_exponents,
+    _phases,
     annihilator,
     coords_matrix,
 )
@@ -52,7 +53,7 @@ def zak_transform(f: Window, lam: Subgroup) -> ZakGrid:
     lam_idx = lam.index_array
     shifts = f.values[_index_sum(orders, np.arange(len(C))[:, None], lam_idx)]  # f(x + l_j)
     E, N = _pair_exponents(orders, C, C[lam_idx])   # <w, l_j> = exp(2 pi i E[w, j] / N)
-    return ZakGrid(f.group, lam, shifts @ np.exp(2j * np.pi * (E / N)).T)
+    return ZakGrid(f.group, lam, shifts @ _phases(E, N).T)
 
 
 def quasiperiodicity_residual(grid: ZakGrid) -> float:
@@ -68,7 +69,7 @@ def quasiperiodicity_residual(grid: ZakGrid) -> float:
     residual = 0.0
     for l in grid.lattice.generators:
         E, N = _pair_exponents(orders, [l.coords], coords_matrix(orders))
-        phase = np.conj(np.exp(2j * np.pi * (E / N)))   # conj(<w, l>), rounded as char_table
+        phase = _phases(E, N).conj()   # conj(<w, l>)
         moved = F[_index_sum(orders, every, l.index)]   # F(x + l, w)
         residual = max(residual, float(np.max(np.abs(moved - phase * F))))
     for t in annihilator(grid.lattice).generators:
@@ -93,15 +94,14 @@ def plane_quadratic_mass(grid: ZakGrid) -> float:
     return float((np.abs(grid.values) ** 2).sum()) / grid.window_group.cardinality
 
 
-def zak_frame_bounds(g: Window, lam: Subgroup,
-                     tol_ratio: float = FRAME_TOLERANCE_RATIO) -> FrameReport:
+def zak_frame_bounds(g: Window, lam: Subgroup) -> FrameReport:
     """Frame bounds of the system over lam x lam_perp from extreme |Zg|^2.
 
     Normalization (|G|/|lam|) * |Zg|^2 is frozen after calibration against the
-    eigenvalue route; with it the two computations agree to roundoff.
+    eigenvalue route; with it the two computations agree to roundoff.  The
+    verdict uses the threshold of ``frame_bounds``.
     """
     grid = zak_transform(g, lam)
     mods2 = np.abs(grid.values) ** 2
     scale = g.group.cardinality / lam.order
-    return FrameReport.from_bounds(scale * float(mods2.min()),
-                                   scale * float(mods2.max()), tol_ratio)
+    return FrameReport.from_bounds(scale * float(mods2.min()), scale * float(mods2.max()))

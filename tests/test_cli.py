@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gabor_lca
 from gabor_lca import adeles, cli, gabor
@@ -560,3 +564,104 @@ class TestLazyPackage:
         assert adeles.finite_transference_check is swapped_check
         monkeypatch.undo()
         assert gabor_lca.frame_bounds is gabor.frame_bounds is not swapped_bounds
+
+
+#: Grammar pieces of the argv fuzz: each option draws from its own pool, with
+#: valid literals next to malformed ones.  Groups have at most 16 points and
+#: counts are at most 20, so that no example runs for long.
+FUZZ_GROUPS = ["Z1", "Z2", "Z3", "Z4", "Z6", "Z8", "Z16", "Z2xZ2", "Z2xZ4",
+               "G4", "Z0", "Z4x", "z4", ""]
+FUZZ_WINDOWS = ["delta0", "gauss", "const", "values=(1,0),(0,0)",
+                "values=(1,0),(0,0),(0,0),(0,0)", "values=(1),(0)",
+                "values=(nan,0),(0,0)", "values=(1e308,0),(1e308,0)", "values=", "square"]
+FUZZ_LATTICES = ["time-axis", "frequency-axis", "full-plane", "separable:gens=(2)",
+                 "separable:gens=(1,0)", "separable:gens=", "plane-gens=((2),(0));((0),(2))",
+                 "plane-gens=((1,0))", "plane-gens=((1,1),(0,1))", "plane-gens=(())",
+                 "plane-gens=((1),(0)", "plane-gens=((x),(0))", "plane-gens=", "lattice"]
+FUZZ_SUBGROUPS = ["gens=(2)", "gens=(1,0)", "gens=(0,2)", "gens=", "gens=(2", "gens=(a)", "4"]
+FUZZ_NUMBERS = ["0", "1", "2", "3", "4", "8", "20", "-1", "0.5", "1e-9", "nan", "inf", "x", ""]
+FUZZ_RATIONALS = ["12", "5/2", "-3/4", "0", "1/0", "x", ""]
+FUZZ_SPECS = ["A_Q{S=2,3; n=2}", "A_Q{S=2; n=1}", "Q_S{S=2; n=1}", "A_Q{S=4;n=1}",
+              "A_Q{S=; n=1}", "A_Q{S=2; n=0}", "R^2", "Z4", "{", ""]
+FUZZ_VECTORS = ["diag=(5/2,1)", "diag=(5/2)", "diag=(1/0,1)", "inf=(1,0); 2=(1,0)",
+                "inf=(1,0); 2=(1,0); 2=(0,1)", "inf=(1,2); 5=(1,2)", "2=(1,0)", "diag=(x,1)"]
+FUZZ_DOCUMENTS = {"auto.txt": AUTO, "rebased.txt": AUTO_REBASED,
+                  "zero.txt": "S = 2\nAinf = [[1/0]]\n",
+                  "big.txt": "S =\nAinf = [[2, 0], [0, 1]]\n",
+                  "junk.txt": "Ainf = [[1, 2]\n", "empty.txt": ""}
+FUZZ_FILES = sorted(FUZZ_DOCUMENTS) + ["missing.txt"]
+FUZZ_EPS = ["0,0.01,0.02", "0", "0.02,0.01", "0,inf", "nan", ",", "x"]
+FUZZ_N_LISTS = ["2", "2,3", "3,2", "2,2", "1", ",", "x"]
+FUZZ_FORMATS = ["csv", "json", "xml"]
+
+#: Subcommand -> (option or None for a positional, pool or None for a flag).
+FUZZ_COMMANDS = {
+    "frame-bounds": [("--group", FUZZ_GROUPS), ("--window", FUZZ_WINDOWS),
+                     ("--lattice", FUZZ_LATTICES)],
+    "janssen-check": [("--count", FUZZ_NUMBERS), ("--seed", FUZZ_NUMBERS),
+                      ("--max-card", FUZZ_NUMBERS), ("--tol", FUZZ_NUMBERS)],
+    "wexler-raz": [("--group", FUZZ_GROUPS), ("--window", FUZZ_WINDOWS),
+                   ("--lattice", FUZZ_LATTICES), ("--dual-window", FUZZ_WINDOWS),
+                   ("--tol", FUZZ_NUMBERS)],
+    "adjoint": [("--group", FUZZ_GROUPS), ("--lattice", FUZZ_LATTICES)],
+    "zak": [("--group", FUZZ_GROUPS), ("--window", FUZZ_WINDOWS),
+            ("--subgroup", FUZZ_SUBGROUPS)],
+    "zak-min": [("--group", FUZZ_GROUPS), ("--window", FUZZ_WINDOWS),
+                ("--subgroup", FUZZ_SUBGROUPS)],
+    "s0-norm": [("--group", FUZZ_GROUPS), ("--window", FUZZ_WINDOWS),
+                ("--reference", FUZZ_WINDOWS)],
+    "padic-abs": [(None, FUZZ_RATIONALS), (None, FUZZ_NUMBERS)],
+    "adele-vol": [("--file", FUZZ_FILES), ("--spec", FUZZ_SPECS)],
+    "adele-member": [("--file", FUZZ_FILES), ("--vector", FUZZ_VECTORS),
+                     ("--spec", FUZZ_SPECS)],
+    "adele-equal": [("--file", FUZZ_FILES), ("--file2", FUZZ_FILES), ("--spec", FUZZ_SPECS)],
+    "blt-classify": [(None, FUZZ_SPECS)],
+    "deform-margin": [("--file", FUZZ_FILES), ("--spec", FUZZ_SPECS)],
+    "transference-check": [("--group", FUZZ_GROUPS), ("--window", FUZZ_WINDOWS),
+                           ("--dual-window", FUZZ_WINDOWS), ("--lattice", FUZZ_LATTICES),
+                           ("--M", FUZZ_NUMBERS), ("--d", FUZZ_NUMBERS),
+                           ("--tol", FUZZ_NUMBERS)],
+    "sweep-window": [("--group", FUZZ_GROUPS), ("--window", FUZZ_WINDOWS),
+                     ("--lattice", FUZZ_LATTICES), ("--eps", FUZZ_EPS),
+                     ("--seed", FUZZ_NUMBERS), ("--format", FUZZ_FORMATS)],
+    "sweep-critical": [("--n-list", FUZZ_N_LISTS), ("--no-control", None),
+                       ("--format", FUZZ_FORMATS)],
+    "density-exhaust": [("--group", FUZZ_GROUPS), ("--windows", FUZZ_NUMBERS),
+                        ("--seed", FUZZ_NUMBERS), ("--format", FUZZ_FORMATS)],
+}
+
+
+@st.composite
+def fuzz_argv(draw, folder):
+    """A subcommand with each of its options present or not (mostly present)."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command]
+    for option, pool in FUZZ_COMMANDS[command]:
+        if not draw(st.sampled_from([True, True, True, False])):
+            continue
+        if pool is None:
+            argv.append(option)
+            continue
+        value = draw(st.sampled_from(pool))
+        if pool is FUZZ_FILES:
+            value = str(folder / value)
+        argv += [value] if option is None else [option, value]
+    return argv
+
+
+class TestArgvFuzz:
+    """The CLI contract on drawn argv: exit code 0, 1 or 2, no escaping exception."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract(self, tmp_path, data):
+        for name, text in FUZZ_DOCUMENTS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = data.draw(fuzz_argv(tmp_path))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert "error:" in err.getvalue() and out.getvalue() == "", argv

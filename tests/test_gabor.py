@@ -589,6 +589,16 @@ class TestWexlerRaz:
         h = gl.canonical_dual(g, delta)
         assert gl.wexler_raz_check(g, h, delta).holds
 
+    def test_synthesis_window_on_another_group_refused(self):
+        # the same four values on Z2xZ2 are no window of a system over Z4
+        G = Z(4)
+        g = gl.random_window(G, rng_for(31))
+        h = Window(Z(2, 2), g.values)
+        delta = TfLattice.time_axis(G)
+        for call in (gl.wexler_raz_check, gl.janssen_operator, gl.frame_operator):
+            with pytest.raises(GroupShapeError):
+                call(g, h, delta)
+
     def test_undersampled_delta_pair_fails(self):
         G = Z(4)
         d0 = gl.delta_window(G)
@@ -780,6 +790,42 @@ class TestOnbConstructions:
         H = gl.enumerate_subgroup(G, [G.element((2,))])
         with pytest.raises(WindowNotOnbError):
             gl.lift_finite_index(G, H, [1.0, 1.0])
+
+    def test_lift_reads_a_mapping_like_the_sequence(self):
+        G = Z(8)
+        H = gl.enumerate_subgroup(G, [G.element((2,))])
+        lam = gl.enumerate_subgroup(G, [G.element((4,))])
+        s = 1 / math.sqrt(2)
+        by_list, _ = gl.lift_finite_index(G, H, [s, s, 0.0, 0.0], lam=lam)
+        by_key, _ = gl.lift_finite_index(G, H, {G.zero(): s, G.element((2,)): s}, lam=lam)
+        assert np.array_equal(by_list.values, by_key.values)
+
+    def test_lift_refuses_mapping_keys_off_the_subgroup(self):
+        G = Z(4)
+        H = gl.enumerate_subgroup(G, [G.element((2,))])
+        with pytest.raises(ValueError, match="outside the subgroup"):
+            gl.lift_finite_index(G, H, {G.zero(): 1.0, G.element((1,)): 0.5})
+        # (2,) in Z8 is not the element (2,) of Z4
+        with pytest.raises(GroupShapeError):
+            gl.lift_finite_index(G, H, {Z(8).element((2,)): 1.0})
+
+    def test_push_reads_a_mapping_by_cosets(self):
+        G = Z(4)
+        F = gl.enumerate_subgroup(G, [G.element((2,))])
+        s = 1 / math.sqrt(2)
+        by_list, _ = gl.push_finite_subgroup(G, F, F, [s, s])
+        # (3,) stands for its coset {1, 3}
+        by_key, _ = gl.push_finite_subgroup(G, F, F, {G.zero(): s, G.element((3,)): s})
+        assert np.array_equal(by_list.values, by_key.values)
+
+    def test_push_refuses_two_keys_in_one_coset(self):
+        G = Z(4)
+        F = gl.enumerate_subgroup(G, [G.element((2,))])
+        s = 1 / math.sqrt(2)
+        with pytest.raises(ValueError, match="two values"):
+            gl.push_finite_subgroup(G, F, F, {G.element((1,)): s, G.element((3,)): s})
+        with pytest.raises(GroupShapeError):
+            gl.push_finite_subgroup(G, F, F, {Z(8).element((1,)): s})
 
     def test_push_round_trip_trivial_subgroup(self):
         G = Z(4)
