@@ -236,7 +236,7 @@ class TfLattice:
         if dual_part.group.orders != base.orders:
             raise GroupShapeError(f"dual-side subgroup of {dual_part.group} does not fit {base}")
         points = lam.index_array[:, None] * base.cardinality + dual_part.index_array
-        return cls(base, Subgroup.from_indices(base.plane(), points.ravel()))
+        return cls(base, Subgroup._kernel(base.plane(), points.ravel()))
 
 
 def tf_shift(x: GroupElement, omega: DualElement, f: Window) -> Window:
@@ -288,7 +288,7 @@ def adjoint_lattice(delta: TfLattice) -> TfLattice:
     base = delta.base_group
     plane = base.plane()
     hits = _annihilated(plane.orders, [_rotated(z) for z in delta.subgroup.generators])
-    return TfLattice(base, Subgroup.from_indices(plane, hits))
+    return TfLattice(base, Subgroup._kernel(plane, hits))
 
 
 def _system_columns(g: Window, delta: TfLattice) -> np.ndarray:
@@ -527,7 +527,7 @@ def _product_lattice(delta1: TfLattice, delta2: TfLattice) -> TfLattice:
     x = delta1.x_indices[:, None] * card2 + delta2.x_indices
     w = delta1.w_indices[:, None] * card2 + delta2.w_indices
     points = x * product.cardinality + w
-    return TfLattice(product, Subgroup.from_indices(product.plane(), points.ravel()))
+    return TfLattice(product, Subgroup._kernel(product.plane(), points.ravel()))
 
 
 @dataclass(frozen=True)

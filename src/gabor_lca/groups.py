@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -68,7 +68,7 @@ class FiniteLcaGroup:
     def exponent(self) -> int:
         return math.lcm(*self.orders)
 
-    @property
+    @cached_property
     def total_mass(self) -> Fraction:
         return self.cardinality * self.weight
 
@@ -290,28 +290,43 @@ def sub_index_table(orders: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _close(orders: tuple[int, ...], mask: np.ndarray, x: int) -> np.ndarray:
+def _multiples(orders: tuple[int, ...], x: int) -> np.ndarray:
+    """Indices of k*x for k = 0..ord(x), in the smallest dtype (a walk keeps a row per x)."""
+    c = coords_matrix(orders)[x]
+    order = math.lcm(*(n // math.gcd(ci, n) for ci, n in zip(c.tolist(), orders)))
+    out = np.arange(order + 1)[:, None] * c % np.array(orders) @ _row_major_strides(orders)
+    return out.astype(np.min_scalar_type(math.prod(orders)))
+
+
+def _close(orders: tuple[int, ...], mask: np.ndarray, multiples: np.ndarray) -> np.ndarray:
     """Membership mask of <H, x>, for the subgroup H with membership ``mask``.
 
     <H, x> is the union of the cosets k*x + H for k below the order m of x
-    modulo H, so it is one sum of H's indices with the first m multiples of x.
+    modulo H, so it is one sum of H's indices with the first m ``multiples``.
     """
-    C = coords_matrix(orders)
-    steps = np.arange(math.lcm(*orders) + 1)[:, None]
-    multiples = steps * C[x] % np.array(orders) @ _row_major_strides(orders)
     m = 1 + int(np.argmax(mask[multiples[1:]]))
     out = np.zeros_like(mask)
     out[_index_sum(orders, np.flatnonzero(mask)[:, None], multiples[:m])] = True
     return out
 
 
-def _zero_mask(card: int) -> np.ndarray:
+def _mask(card: int, indices) -> np.ndarray:
     out = np.zeros(card, dtype=bool)
-    out[0] = True
+    out[indices] = True
     return out
 
 
-@dataclass(frozen=True, eq=False)
+def _greedy_generators(group: FiniteLcaGroup, given: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Greedy generators of mask ``given`` (ascending; a point joins when the earlier
+    ones miss it) and the mask they generate, which is ``given`` iff it is closed."""
+    gens, mask = [], _mask(group.cardinality, 0)
+    while (missing := np.flatnonzero(given & ~mask)).size:
+        gens.append(int(missing[0]))
+        mask = _close(group.orders, mask, _multiples(group.orders, gens[-1]))
+    return tuple(map(group.element_by_index, gens)), mask
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Subgroup:
     """Subgroup stored as the sorted int64 indices of its elements.
 
@@ -320,18 +335,31 @@ class Subgroup:
     ``elements`` is built from the indices the first time it is read.
 
     ``generators`` always generates the subgroup: ``enumerate_subgroup``
-    closes the given generators, ``from_indices`` recovers a generating set
-    from a closed index set, and ``all_subgroups`` builds each subgroup from
-    the same greedy generators.  ``annihilator`` and ``adjoint_lattice`` test
-    membership against the generators only, so they rely on this.
+    keeps the ones it closed, and ``all_subgroups`` and ``from_indices`` give
+    the greedy ones.  Kernel-built subgroups (``annihilator``, adjoint,
+    separable and product lattices) are closed by construction and recover
+    the greedy generators on first read.  ``annihilator`` and
+    ``adjoint_lattice`` test membership against the generators only.
     """
 
     group: FiniteLcaGroup
-    generators: tuple[GroupElement, ...]
+    known_generators: InitVar[tuple[GroupElement, ...] | None]
     index_array: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, known_generators):
         self.index_array.setflags(write=False)
+        if known_generators is not None:
+            self.__dict__["generators"] = known_generators
+
+    @cached_property
+    def generators(self) -> tuple[GroupElement, ...]:
+        """The greedy generators of ``from_indices``, recovered on first read."""
+        return _greedy_generators(self.group, _mask(self.group.cardinality, self.index_array))[0]
+
+    def __repr__(self) -> str:
+        gens = self.__dict__.get("generators")  # reading the property would recover them
+        shown = "<on first read>" if gens is None else "[" + ", ".join(map(str, gens)) + "]"
+        return f"Subgroup({self.group}, order={self.order}, generators={shown})"
 
     @property
     def order(self) -> int:
@@ -371,27 +399,25 @@ class Subgroup:
 
     @classmethod
     def from_indices(cls, group: FiniteLcaGroup, indices) -> "Subgroup":
-        """Wrap an already-closed set of element indices.
+        """Wrap a closed set of element indices; refuses one that is not closed.
 
-        Generators are recovered greedily: in ascending index order, an
-        element becomes a generator when the earlier generators do not reach it.
+        Recovers the greedy generators at once, where kernel-built subgroups
+        (``_kernel``) recover the same ones on first read.
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= group.cardinality):
             raise ValueError(f"element index out of range for |G| = {group.cardinality}")
         # A mask rather than np.unique, which imports numpy.ma (~1 MB) on first use.
-        given = np.zeros(group.cardinality, dtype=bool)
-        given[idx] = True
-        mask = _zero_mask(group.cardinality)
-        gens = []
-        missing = np.flatnonzero(given & ~mask)
-        while missing.size:
-            gens.append(int(missing[0]))
-            mask = _close(group.orders, mask, gens[-1])
-            missing = np.flatnonzero(given & ~mask)
+        given = _mask(group.cardinality, idx)
+        gens, mask = _greedy_generators(group, given)
         if not np.array_equal(mask, given):
             raise ValueError("element list is not closed under the group operation")
-        return cls(group, tuple(group.element_by_index(i) for i in gens), np.flatnonzero(given))
+        return cls(group, gens, np.flatnonzero(given))
+
+    @classmethod
+    def _kernel(cls, group: FiniteLcaGroup, indices) -> "Subgroup":
+        """Wrap unique int64 indices closed by construction; sorts, closes nothing."""
+        return cls(group, None, np.sort(indices))
 
     @classmethod
     def from_elements(cls, group: FiniteLcaGroup,
@@ -407,10 +433,10 @@ def enumerate_subgroup(group: FiniteLcaGroup,
     for g in gens:
         if g.group != group:
             raise GroupShapeError(f"generator {g} does not belong to {group}")
-    mask = _zero_mask(group.cardinality)
+    mask = _mask(group.cardinality, 0)
     for g in gens:
         if not mask[g.index]:
-            mask = _close(group.orders, mask, g.index)
+            mask = _close(group.orders, mask, _multiples(group.orders, g.index))
     return Subgroup(group, gens, np.flatnonzero(mask))
 
 
@@ -434,7 +460,7 @@ def annihilator(sub: Subgroup) -> Subgroup:
     throughout; |sub| * |annihilator| = |G| always.
     """
     hits = _annihilated(sub.group.orders, [g.coords for g in sub.generators])
-    return Subgroup.from_indices(sub.group.dual(), hits)
+    return Subgroup._kernel(sub.group.dual(), hits)
 
 
 def lattice_volume(sub: Subgroup) -> Fraction:
@@ -476,14 +502,15 @@ def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
     """
     _check_table_size(group.orders)
     orders, card = group.orders, group.cardinality
-    trivial = _zero_mask(card)
+    trivial = _mask(card, 0)
     found, stack = [], [(Subgroup(group, (), np.flatnonzero(trivial)), trivial)]
+    multiples = lru_cache(maxsize=None)(lambda x: _multiples(orders, x))  # once per walk
     while stack:
         H, mask = stack.pop()
         found.append(H)
         start = H.generators[-1].index + 1 if H.generators else 1
         for x in _coset_leaders(H, np.arange(start, card)).tolist():
-            closed = _close(orders, mask, x)
+            closed = _close(orders, mask, multiples(x))
             if np.array_equal(closed[:x], mask[:x]):
                 gens = H.generators + (group.element_by_index(x),)
                 stack.append((Subgroup(group, gens, np.flatnonzero(closed)), closed))

@@ -26,6 +26,8 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
+    _close,
+    _greedy_generators,
     add_index_table,
     char_table,
     coords_matrix,
@@ -97,6 +99,26 @@ def separable_by_points(lam, dual_part):
     elems = [plane.element(x.coords + w.coords)
              for x in lam.elements for w in dual_part.elements]
     return TfLattice(lam.group, Subgroup.from_elements(plane, elems))
+
+
+def product_indices_by_points(delta1, delta2):
+    """Oracle: plane indices of delta1 x delta2, delta1-major and so unsorted."""
+    grp1, grp2 = delta1.base_group, delta2.base_group
+    plane = FiniteLcaGroup(grp1.orders + grp2.orders).plane()
+    k1, k2 = grp1.rank, grp2.rank
+    return [plane.element(z1.coords[:k1] + z2.coords[:k2] + z1.coords[k1:] + z2.coords[k2:]).index
+            for z1 in delta1.elements for z2 in delta2.elements]
+
+
+def assert_kernel_matches(sub, oracle):
+    """A kernel-built subgroup equals its ``from_indices`` oracle exactly: the
+    same sorted, unique index array, and the same greedy generators, which it
+    recovers only when they are read."""
+    assert "generators" not in vars(sub)
+    assert sub.group == oracle.group
+    assert np.all(np.diff(sub.index_array) > 0)
+    assert np.array_equal(sub.index_array, oracle.index_array)
+    assert sub.generators == oracle.generators
 
 
 def commutation_exponent_by_coords(z, w):
@@ -1105,3 +1127,82 @@ class TestSmallerSideRoute:
         assert np.array_equal(gl.janssen_operator(g, h, delta, adjoint=fresh),
                               gl.janssen_operator(g, h, delta))
         assert gl.wexler_raz_check(g, h, delta, adjoint=fresh) == gl.wexler_raz_check(g, h, delta)
+
+
+class TestKernelSubgroups:
+    """Adjoint, separable and product lattices are closed by construction:
+    built without a closure walk, they recover ``from_indices``'s greedy
+    generators on first read."""
+
+    @pytest.mark.parametrize("orders", [(4,), (6,), (2, 2)])
+    def test_adjoints_match_from_indices_oracle(self, orders):
+        G = FiniteLcaGroup(orders)
+        for sub in gl.all_subgroups(G.plane()):
+            delta = TfLattice(G, sub)
+            oracle = adjoint_full_scan(delta).subgroup
+            assert_kernel_matches(gl.adjoint_lattice(delta).subgroup, oracle)
+
+    def test_separable_lattices_match_from_indices_oracle(self):
+        rng = rng_for(61)
+        for _ in range(25):
+            G = random_group(rng, max_card=36)
+            lam = random_subgroup(G, rng)
+            for dual_part in (gl.annihilator(lam), random_subgroup(G.dual(), rng)):
+                points = [x * G.cardinality + w for x in lam.index_array.tolist()
+                          for w in dual_part.index_array.tolist()]
+                oracle = Subgroup.from_indices(G.plane(), rng.permutation(points))
+                assert_kernel_matches(TfLattice.separable(lam, dual_part).subgroup, oracle)
+
+    def test_tensor_lattices_match_from_indices_oracle(self):
+        def frequency_onb(G):
+            return Window(G, np.ones(G.cardinality)).normalized(), TfLattice.frequency_axis(G)
+
+        unsorted = 0
+        for o1, o2 in [((2,), (3,)), ((4,), (2,)), ((2, 2), (3,)), ((3,), (2, 2))]:
+            G1, G2 = FiniteLcaGroup(o1), FiniteLcaGroup(o2)
+            for (g1, d1), (g2, d2) in [(gl.standard_onb(G1), frequency_onb(G2)),
+                                       (frequency_onb(G1), gl.standard_onb(G2))]:
+                _, delta = gl.tensor_onb(g1, d1, g2, d2)
+                points = product_indices_by_points(d1, d2)
+                unsorted += points != sorted(points)
+                oracle = Subgroup.from_indices(delta.subgroup.group, points)
+                assert_kernel_matches(delta.subgroup, oracle)
+        assert unsorted == 4
+
+    def test_kernel_builders_close_nothing_until_generators_are_read(self, monkeypatch):
+        G = Z(2, 4)
+        lam = gl.enumerate_subgroup(G, [G.element((1, 2))])
+        delta = TfLattice.from_plane_generators(G, [((1, 0), (0, 1)), ((0, 2), (1, 0))])
+        other = TfLattice.frequency_axis(Z(3))
+        builders = [lambda: gl.annihilator(lam),
+                    lambda: gl.adjoint_lattice(delta).subgroup,
+                    lambda: TfLattice.separable(lam).subgroup,
+                    lambda: _product_lattice(delta, other).subgroup]
+
+        def refuse(*args):
+            raise AssertionError("closure walk while building a kernel subgroup")
+
+        monkeypatch.setattr("gabor_lca.groups._close", refuse)
+        built = [build() for build in builders]
+        for build, sub in zip(builders, built):
+            assert sub == build() and hash(sub) == hash(build())
+            assert gl.lattice_volume(sub) * sub.order == sub.group.total_mass
+            last = sub.group.element_by_index(int(sub.index_array[-1]))
+            assert last in sub and sub.group.zero() in sub
+            assert "None" not in repr(sub) and "<on first read>" in repr(sub)
+        assert [sub.order for sub in built] == [4, 8, 8, 24]
+
+        monkeypatch.setattr("gabor_lca.groups._close", _close)
+        recoveries = []
+
+        def counted(*args):
+            recoveries.append(args)
+            return _greedy_generators(*args)
+
+        monkeypatch.setattr("gabor_lca.groups._greedy_generators", counted)
+        for sub in built:
+            gens = sub.generators
+            assert sub.generators is gens
+            assert gl.enumerate_subgroup(sub.group, gens) == sub
+            assert "<on first read>" not in repr(sub)
+        assert len(recoveries) == len(built)

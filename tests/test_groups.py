@@ -13,10 +13,12 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
+    _close,
     _coset_minima,
     _index_sum,
     add_index_table,
     coords_matrix,
+    pair_exponent_table,
     parse_coord_tuples,
 )
 
@@ -47,6 +49,37 @@ def annihilator_full_scan(sub):
     hits = np.nonzero(~E.any(axis=1))[0]
     dual = group.dual()
     return Subgroup.from_elements(dual, [dual.element_by_index(int(i)) for i in hits])
+
+
+def annihilator_by_from_indices(sub):
+    """Oracle: the characters whose pairing-table row vanishes on ``sub``,
+    handed to ``from_indices`` in descending order."""
+    E = pair_exponent_table(sub.group.orders)
+    hits = np.flatnonzero(~E[:, sub.index_array].any(axis=1))
+    return Subgroup.from_indices(sub.group.dual(), hits[::-1])
+
+
+def assert_kernel_matches(sub, oracle):
+    """A kernel-built subgroup equals its ``from_indices`` oracle exactly: the
+    same sorted, unique index array, and the same greedy generators, which it
+    recovers only when they are read."""
+    assert "generators" not in vars(sub)
+    assert sub.group == oracle.group
+    assert np.all(np.diff(sub.index_array) > 0)
+    assert np.array_equal(sub.index_array, oracle.index_array)
+    assert sub.generators == oracle.generators
+
+
+def count_closures(monkeypatch):
+    """Route every ``groups._close`` call through a counter; returns it."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _close(*args)
+
+    monkeypatch.setattr("gabor_lca.groups._close", counted)
+    return calls
 
 
 def pairing_exponent_by_coords(omega, x):
@@ -545,3 +578,27 @@ class TestIndexCore:
                         reps.append(x.coords)
                         covered.update((x + s).coords for s in H.elements)
                 assert [r.coords for r in gl.coset_transversal(G, H)] == reps
+
+
+class TestKernelSubgroups:
+    """Annihilators are closed by construction: built without a closure walk,
+    they recover ``from_indices``'s greedy generators on first read."""
+
+    def test_annihilators_match_from_indices_oracle(self):
+        shapes = shapes_up_to(64)
+        assert len(shapes) == 198
+        for orders in shapes:
+            G = FiniteLcaGroup(orders)
+            for H in gl.all_subgroups(G):
+                assert_kernel_matches(gl.annihilator(H), annihilator_by_from_indices(H))
+
+    def test_closure_count_of_subgroup_walk_and_annihilators(self, monkeypatch):
+        """10,784 closures, all in the ``all_subgroups`` walks; recovering the
+        annihilators' generators at build time took 5,216 more."""
+        shapes = shapes_up_to(63)
+        assert len(shapes) == 187
+        calls = count_closures(monkeypatch)
+        for orders in shapes:
+            for H in gl.all_subgroups(FiniteLcaGroup(orders)):
+                gl.annihilator(H)
+        assert calls[0] == 10784
