@@ -187,6 +187,18 @@ class TfLattice:
         """``adjoint_lattice(self)``, computed once; the lattice is frozen."""
         return adjoint_lattice(self)
 
+    @cached_property
+    def _walnut(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """Walnut's blocks of S: one point (x, w_x) per time x, |Gamma_0| for
+        Gamma_0 = Delta & ({0} x G^), and the cosets of Gamma_0_perp as rows."""
+        base, (x_idx, w_idx) = self.base_group, self._split_indices
+        first = np.flatnonzero(np.diff(x_idx, prepend=-1))  # x_idx is sorted
+        gamma0 = w_idx[x_idx == 0]
+        perp = Subgroup._kernel(base, _annihilated(base.orders, coords_matrix(base.orders)[gamma0]))
+        leaders = _coset_leaders(perp, np.arange(base.cardinality))
+        rows = _index_sum(base.orders, leaders[:, None], perp.index_array)
+        return x_idx[first], w_idx[first], len(gamma0), rows
+
     @property
     def x_indices(self) -> np.ndarray:
         return self._split_indices[0]
@@ -245,10 +257,10 @@ def tf_shift(x: GroupElement, omega: DualElement, f: Window) -> Window:
         raise GroupShapeError("time-shift element outside the window's group")
     if omega.group != f.group.dual():
         raise GroupShapeError("frequency-shift element outside the dual group")
-    CHI = char_table(f.group.orders)
-    SUB = sub_index_table(f.group.orders)
-    vals = CHI[omega.index, :] * f.values[SUB[:, x.index]]
-    return Window(f.group, vals)
+    orders = f.group.orders
+    E, N = _pair_exponents(orders, [omega.coords], coords_matrix(orders))
+    moved = _index_sum(orders, np.arange(f.group.cardinality), x.index, sign=-1)
+    return Window(f.group, _phases(E[0], N) * f.values[moved])
 
 
 def tf_shift_plane(z: GroupElement, f: Window) -> Window:
@@ -291,17 +303,16 @@ def adjoint_lattice(delta: TfLattice) -> TfLattice:
     return TfLattice(base, Subgroup._kernel(plane, hits))
 
 
-def _system_columns(g: Window, delta: TfLattice) -> np.ndarray:
-    """Matrix whose column j is pi(z_j) g over the lattice's element order."""
+def _system_columns(g: Window, x_idx: np.ndarray, w_idx: np.ndarray) -> np.ndarray:
+    """Matrix whose column j is pi(x_j, w_j) g, for plane points given as index arrays."""
     CHI = char_table(g.group.orders)
     SUB = sub_index_table(g.group.orders)
-    x_idx, w_idx = delta.x_indices, delta.w_indices
     return CHI[w_idx, :].T * g.values[SUB[:, x_idx]]
 
 
 def _adjoint_coefficients(g: Window, h: Window, adj: TfLattice) -> np.ndarray:
     """<g, pi(z) h> for every z of the lattice, in its element order."""
-    return float(g.group.weight) * (_system_columns(h, adj).conj().T @ g.values)
+    return float(g.group.weight) * (_system_columns(h, *adj._split_indices).conj().T @ g.values)
 
 
 def _check_system(delta: TfLattice, *windows: Window) -> None:
@@ -311,8 +322,8 @@ def _check_system(delta: TfLattice, *windows: Window) -> None:
 
 
 def _identity_defect(M: np.ndarray) -> float:
-    """max |M - I| over the entries of a square matrix."""
-    return float(np.max(np.abs(M - np.eye(len(M)))))
+    """max |M - I| over the entries of a square matrix or a stack of them."""
+    return float(np.max(np.abs(M - np.eye(M.shape[-1]))))
 
 
 def _checked_adjoint(delta: TfLattice, adjoint: TfLattice | None) -> TfLattice:
@@ -348,12 +359,12 @@ def s0_norm(f: Window, g: Window) -> float:
 def frame_operator(g: Window, h: Window, delta: TfLattice) -> np.ndarray:
     """S f = sum_{z in Delta} <f, pi(z) g> pi(z) h, as a dense matrix.
 
-    Always the sum over Delta: it is the oracle the adjoint route is
-    checked against.
+    Always the sum over Delta: it is the oracle the Walnut blocks of
+    ``frame_bounds`` and ``canonical_dual`` are checked against.
     """
     _check_system(delta, g, h)
-    P = _system_columns(g, delta)
-    Q = P if h is g else _system_columns(h, delta)
+    P = _system_columns(g, *delta._split_indices)
+    Q = P if h is g else _system_columns(h, *delta._split_indices)
     return float(g.group.weight) * (Q @ P.conj().T)
 
 
@@ -362,8 +373,9 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
     """Adjoint-lattice representation of the frame-type operator.
 
     vol(Delta)^{-1} sum_{z in adjoint} <h, pi(z) g> pi(z); agrees with
-    ``frame_operator`` entrywise up to roundoff.  The coefficient pairs the
-    synthesis window against the shifted analysis window: expanding the
+    ``frame_operator`` entrywise up to roundoff; ``janssen-check`` and the
+    oracle tests use it, frame bounds and duals do not.  The coefficient pairs
+    the synthesis window against the shifted analysis window: expanding the
     rank-one operator h g^* in the (orthogonal) basis of time-frequency shift
     matrices forces this orientation, and the transposed variant already
     fails on the diagonal lattice of the Z/2 plane.  FFT route: the inverse
@@ -385,55 +397,41 @@ def janssen_operator(g: Window, h: Window, delta: TfLattice,
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Extreme eigenvalues of the frame operator and the frame verdict.
-
-    ``route`` names the side the operator was assembled on: ``"delta"`` (the
-    sum over the lattice) or ``"adjoint"`` (the Janssen sum over its adjoint).
-    """
+    """Frame bounds (Walnut-block eigenvalues, or Zak extremes) and the frame verdict."""
 
     lower: float
     upper: float
     is_frame: bool
     condition: float | None
-    route: str = "delta"
 
     @classmethod
-    def from_bounds(cls, lower: float, upper: float, route: str = "delta") -> "FrameReport":
+    def from_bounds(cls, lower: float, upper: float) -> "FrameReport":
         lower = max(lower, 0.0)
         is_frame = upper > 0.0 and lower > FRAME_TOLERANCE_RATIO * upper
         condition = (upper / lower) if is_frame else None
-        return cls(lower, upper, is_frame, condition, route)
+        return cls(lower, upper, is_frame, condition)
 
 
-def _hermitian_frame_operator(g: Window, delta: TfLattice) -> tuple[np.ndarray, FrameReport]:
-    """The symmetrized frame operator of g and the report of its spectrum.
-
-    S is assembled on the smaller side.  Since |Delta| * |adjoint| = |G|^2,
-    an oversampled lattice (|Delta| > |G|, vol(Delta) < 1) has fewer adjoint
-    points than |G|, so S is the Janssen sum over ``delta.adjoint``; otherwise
-    it is the dense sum over Delta.  The report records the route.
-    """
-    if delta.order > g.group.cardinality:
-        route = "adjoint"
-        S = janssen_operator(g, g, delta)
-    else:
-        route = "delta"
-        S = frame_operator(g, g, delta)
-    S = 0.5 * (S + S.conj().T)
+def _walnut_blocks(g: Window, delta: TfLattice) -> tuple[np.ndarray, np.ndarray, FrameReport]:
+    """``rows``, the blocks of S on them and their report (``TfLattice._walnut``):
+    S[rows[r]] = weight * |Gamma_0| * B_r B_r^H with B_r[a, x] = <w_x, a> g(a - x)."""
+    _check_system(delta, g)
+    x_idx, w_idx, gamma0, rows = delta._walnut
+    B = _system_columns(g, x_idx, w_idx)[rows]
+    S = (float(g.group.weight) * gamma0) * (B @ B.conj().swapaxes(1, 2))
     eigs = np.linalg.eigvalsh(S)
-    return S, FrameReport.from_bounds(float(eigs[0]), float(eigs[-1]), route)
+    return rows, S, FrameReport.from_bounds(float(eigs.min()), float(eigs.max()))
 
 
 def frame_bounds(g: Window, delta: TfLattice) -> FrameReport:
     """Optimal frame bounds = extreme eigenvalues of the frame operator.
 
-    The operator is assembled on the smaller of Delta and its adjoint (see
-    ``_hermitian_frame_operator``); ``FrameReport.route`` says which.  It is
-    a frame when lower > ``FRAME_TOLERANCE_RATIO`` * upper.
+    The eigenvalues are those of its Walnut blocks (see ``_walnut_blocks``).
+    It is a frame when lower > ``FRAME_TOLERANCE_RATIO`` * upper.
     """
     if g.is_zero():
         raise ValueError("frame bounds of the zero window")
-    return _hermitian_frame_operator(g, delta)[1]
+    return _walnut_blocks(g, delta)[2]
 
 
 @dataclass(frozen=True)
@@ -468,15 +466,17 @@ def wexler_raz_check(g: Window, h: Window, delta: TfLattice,
 def canonical_dual(g: Window, delta: TfLattice) -> Window:
     """h = S^{-1} g; the frame-type operator S_{g,h} is then the identity.
 
-    S is assembled on the smaller of Delta and its adjoint, as in
-    ``frame_bounds`` (|Delta| * |adjoint| = |G|^2); ``NotAFrameError`` when
-    its verdict, under the same threshold, is not a frame.
+    S is solved block by block on its Walnut blocks, as in ``frame_bounds``;
+    ``NotAFrameError`` when their verdict, under the same threshold, is not
+    a frame.
     """
-    S, report = _hermitian_frame_operator(g, delta)
+    rows, S, report = _walnut_blocks(g, delta)
     if not report.is_frame:
         raise NotAFrameError(
             f"system is not a frame (bounds {report.lower:.3e}, {report.upper:.3e})")
-    return Window(g.group, np.linalg.solve(S, g.values))
+    out = np.empty_like(g.values)
+    out[rows] = np.linalg.solve(S, g.values[rows][..., None])[..., 0]
+    return Window(g.group, out)
 
 
 @dataclass(frozen=True)
@@ -499,8 +499,7 @@ def _require_onb(g: Window, delta: TfLattice, tol: float, who: str) -> None:
     _check_system(delta, g)
     if delta.order != g.group.cardinality:
         raise WindowNotOnbError(f"{who}: {delta.order} lattice points, not |G| = {len(g.values)}")
-    # |Delta| = |G| = |adjoint| here, so the dense Delta side is no larger.
-    defect = _identity_defect(frame_operator(g, g, delta))
+    defect = _identity_defect(_walnut_blocks(g, delta)[1])
     if defect > tol:
         raise WindowNotOnbError(f"{who} does not generate an orthonormal basis "
                                 f"(identity defect {defect:.3e})")
@@ -590,9 +589,8 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     assert product_lattice.volume == vol
 
     adj = adjoint_lattice(product_lattice)
-    k = delta1.base_group.rank
-    coords = coords_matrix(adj.subgroup.group.orders)[adj.subgroup.index_array]
-    base_part_zero = ~coords[:, :k].any(axis=1) & ~coords[:, k + 1:2 * k + 1].any(axis=1)
+    # index = base index * M + surrogate index on each side of the product plane
+    base_part_zero = (adj.x_indices < M) & (adj.w_indices < M)
     target = np.where(base_part_zero, float(vol), 0.0)
     values = _adjoint_coefficients(g_t, h_t, adj)
     product_residual = float(np.max(np.abs(values - target)))

@@ -21,8 +21,8 @@ from gabor_lca.adeles import (
     parse_automorphism_document,
 )
 from gabor_lca.experiments import random_plane_lattice
-from gabor_lca.gabor import TfLattice, Window, _product_lattice
-from gabor_lca.groups import FiniteLcaGroup, Subgroup
+from gabor_lca.gabor import TfLattice, Window, _adjoint_coefficients, _product_lattice
+from gabor_lca.groups import FiniteLcaGroup, Subgroup, coords_matrix
 from gabor_lca.padic import RationalMatrix
 
 
@@ -628,3 +628,25 @@ class TestTransferenceLattice:
             assert fast == slow and fast.base_group == slow.base_group
             assert fast.subgroup.generators == slow.subgroup.generators
             assert fast.volume == delta1.volume
+
+    def test_base_part_mask_reads_index_bounds(self):
+        # Oracle: the coordinate slices of the product plane's points, where
+        # the check reads x_index < M and w_index < M.
+        rng = np.random.default_rng(46)
+        for L in (2, 3, 4, 6):
+            G = FiniteLcaGroup((L,))
+            for delta1 in (TfLattice.time_axis(G), TfLattice.full_plane(G)):
+                g, h = gl.random_window(G, rng), gl.random_window(G, rng)
+                for M, d in [(2, 1), (4, 2), (6, 3), (8, 2)]:
+                    _, K, K_perp = compact_open_surrogate(M, d)
+                    adj = gl.adjoint_lattice(_product_lattice(delta1, TfLattice.separable(K, K_perp)))
+                    coords = coords_matrix(adj.subgroup.group.orders)[adj.subgroup.index_array]
+                    by_coords = ~coords[:, 0].astype(bool) & ~coords[:, 2].astype(bool)
+                    by_index = (adj.x_indices < M) & (adj.w_indices < M)
+                    assert np.array_equal(by_coords, by_index) and by_index.any()
+                    result = finite_transference_check(g, h, delta1, M, d)
+                    g_t = Window(adj.base_group, np.kron(g.values, gl.indicator_window(K).values))
+                    h_t = Window(adj.base_group, np.kron(h.values, gl.indicator_window(K).values))
+                    target = np.where(by_coords, float(delta1.volume), 0.0)
+                    values = _adjoint_coefficients(g_t, h_t, adj)
+                    assert result.product_residual == float(np.max(np.abs(values - target)))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -143,7 +144,22 @@ class TestDensityExhaustive:
             ex.density_exhaustive(FiniteLcaGroup((5, 5)))
 
 
+#: SHA-256 of the ``seeded_frame_instances(40, seed)`` stream for seeds 0-3,
+#: recorded while frame bounds were assembled densely or by Janssen's sum.
+#: A change of route that flips a borderline frame verdict changes it.
+FRAME_INSTANCES_SHA256 = "35500e14ba59b139526ba69830623e192757044fa6d664144dd484e24e2839ca"
+
+
 class TestSeededInstances:
+    def test_frame_instances_digest_is_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(4):
+            for g, delta in ex.seeded_frame_instances(40, seed=seed):
+                digest.update(repr(g.group.orders).encode())
+                digest.update(g.values.tobytes())
+                digest.update(delta.subgroup.index_array.tobytes())
+        assert digest.hexdigest() == FRAME_INSTANCES_SHA256
+
     def test_janssen_defect_small(self):
         assert ex.janssen_max_defect(10, seed=0) < 1e-10
 

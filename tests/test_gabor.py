@@ -18,9 +18,10 @@ from gabor_lca.gabor import (
     Window,
     WindowNotOnbError,
     _adjoint_coefficients,
-    _hermitian_frame_operator,
     _product_lattice,
     _system_columns,
+    _walnut_blocks,
+    compact_open_surrogate,
 )
 from gabor_lca.groups import (
     FiniteLcaGroup,
@@ -304,6 +305,19 @@ class TestTfShift:
         G, H = Z(4), Z(5)
         with pytest.raises(GroupShapeError):
             gl.tf_shift(H.element((1,)), G.dual().element((0,)), gl.delta_window(G))
+
+    def test_matches_table_gather_oracle(self):
+        # Oracle: the character-table row times the window gathered through
+        # the subtraction table, bit for bit.
+        rng = rng_for(4)
+        for _ in range(300):
+            G = random_group(rng, 64)
+            f = gl.random_window(G, rng)
+            x = G.element_by_index(int(rng.integers(G.cardinality)))
+            omega = G.dual().element_by_index(int(rng.integers(G.cardinality)))
+            table = char_table(G.orders)[omega.index, :] \
+                * f.values[sub_index_table(G.orders)[:, x.index]]
+            assert np.array_equal(gl.tf_shift(x, omega, f).values, table)
 
 
 class TestCommutation:
@@ -780,7 +794,7 @@ class TestOnbConstructions:
         lifted, delta = gl.lift_finite_index(G, H, [1.0, 0.0])
         s = 1 / math.sqrt(2)
         assert np.allclose(lifted.values, [s, s, 0, 0], atol=1e-14)
-        system = _system_columns(lifted, delta)
+        system = _system_columns(lifted, delta.x_indices, delta.w_indices)
         expected = {(s, s, 0, 0), (0, 0, s, s), (s, -s, 0, 0), (0, 0, s, -s)}
         got = {tuple(np.round(system[:, j].real, 10)) for j in range(4)}
         assert {tuple(np.round(v, 10) for v in col) for col in expected} == got
@@ -1027,7 +1041,7 @@ class TestFftRouteOracles:
 
 
 def symmetrized_delta_side(g, delta):
-    """Oracle: the dense sum over Delta, symmetrized as the library does."""
+    """Oracle: the dense sum over Delta, symmetrized for eigvalsh and solve."""
     S = gl.frame_operator(g, g, delta)
     return 0.5 * (S + S.conj().T)
 
@@ -1048,8 +1062,71 @@ def seeded_lattices_by_volume(seed, volumes, per_volume, max_card=64):
     return found
 
 
+def scattered_walnut_blocks(g, delta):
+    """The Walnut blocks written into a |G| x |G| matrix, and the mask they cover."""
+    rows, S, _ = _walnut_blocks(g, delta)
+    card = g.group.cardinality
+    assert np.array_equal(np.sort(rows, axis=None), np.arange(card))
+    full = np.zeros((card, card), dtype=np.complex128)
+    covered = np.zeros((card, card), dtype=bool)
+    full[rows[:, :, None], rows[:, None, :]] = S
+    covered[rows[:, :, None], rows[:, None, :]] = True
+    return full, covered
+
+
+class TestWalnutBlocks:
+    """The block-diagonal frame operator against the dense sum over Delta."""
+
+    def cases(self):
+        cases = [(g, delta) for seed in range(4)
+                 for g, _, delta in seeded_janssen_instances(60, seed=seed, max_card=64)]
+        rng = rng_for(56)
+        for M, d in [(4, 2), (6, 3), (8, 2), (9, 3)]:
+            H, K, K_perp = compact_open_surrogate(M, d)
+            surrogate = TfLattice.separable(K, K_perp)
+            cases.append((gl.random_window(H, rng), surrogate))
+            cases.append((gl.random_window(H, rng), random_plane_lattice(H, rng)))
+            product = _product_lattice(random_plane_lattice(Z(4), rng), surrogate)
+            cases.append((gl.random_window(product.base_group, rng), product))
+        for G in (Z(64), Z(8, 8)):
+            cases.append((gl.random_window(G, rng), TfLattice.full_plane(G)))
+        return cases
+
+    def test_scattered_blocks_match_dense_oracle(self):
+        split = 0
+        for g, delta in self.cases():
+            full, covered = scattered_walnut_blocks(g, delta)
+            dense = gl.frame_operator(g, g, delta)
+            assert np.max(np.abs(full - dense)) <= 1e-10
+            if not covered.all():
+                split += 1
+                assert np.max(np.abs(dense[~covered])) <= 1e-12
+        assert split >= 164
+
+    def test_chirp_without_frequency_kernel_is_one_block(self):
+        rng = rng_for(57)
+        for G, gens in [(Z(16), [((1,), (1,))]),
+                        (Z(4, 4), [((1, 0), (1, 0)), ((0, 1), (0, 1))])]:
+            delta = TfLattice.from_plane_generators(G, gens)
+            assert delta.volume == 1 and delta._walnut[2] == 1
+            g = gl.random_window(G, rng)
+            full, covered = scattered_walnut_blocks(g, delta)
+            assert covered.all()
+            assert np.max(np.abs(full - gl.frame_operator(g, g, delta))) <= 1e-10
+
+    def test_structure_is_computed_on_first_use(self):
+        G = Z(8)
+        delta = TfLattice.separable(gl.enumerate_subgroup(G, [G.element((4,))]))
+        assert "_walnut" not in delta.__dict__
+        gl.frame_bounds(gl.random_window(G, rng_for(58)), delta)
+        x_idx, w_idx, gamma0, rows = delta._walnut
+        assert gamma0 == 4 and rows.shape == (4, 2)
+        assert x_idx.tolist() == [0, 4] and w_idx.tolist() == [0, 0]
+
+
 class TestSmallerSideRoute:
-    """Frame bounds and duals on the smaller of Delta and its adjoint."""
+    """Frame bounds and duals from the Walnut blocks, on lattices on either side
+    of critical density."""
 
     VOLUMES = (Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(2))
 
@@ -1062,12 +1139,11 @@ class TestSmallerSideRoute:
         return cases
 
     def test_matches_delta_side_oracle(self):
-        routes = set()
         for g, delta in self.cases():
-            S, report = _hermitian_frame_operator(g, delta)
-            routes.add(report.route)
+            rows, S, _ = _walnut_blocks(g, delta)
+            dense = gl.frame_operator(g, g, delta)
+            assert np.max(np.abs(S - dense[rows[:, :, None], rows[:, None, :]])) <= 1e-10
             oracle = symmetrized_delta_side(g, delta)
-            assert np.max(np.abs(S - oracle)) <= 1e-10
             eigs = np.linalg.eigvalsh(oracle)
             bounds = gl.frame_bounds(g, delta)
             assert abs(bounds.lower - max(float(eigs[0]), 0.0)) <= 1e-9
@@ -1076,30 +1152,33 @@ class TestSmallerSideRoute:
             if bounds.is_frame:
                 h = gl.canonical_dual(g, delta)
                 assert np.max(np.abs(h.values - np.linalg.solve(oracle, g.values))) <= 1e-12
-        assert routes == {"adjoint", "delta"}
 
     def test_route_follows_point_count(self, monkeypatch):
         rng = rng_for(52)
-        found = seeded_lattices_by_volume(53, (Fraction(1), Fraction(2)), per_volume=3)
-        for g, delta in found[Fraction(1)] + found[Fraction(2)]:
-            assert delta.order <= g.group.cardinality
-            assert gl.frame_bounds(g, delta).route == "delta"
+        found = seeded_lattices_by_volume(53, (Fraction(1, 2), Fraction(1), Fraction(2)),
+                                          per_volume=3)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense Delta-side assembly on an oversampled lattice")
+            raise AssertionError("dense or Janssen assembly behind frame bounds or duals")
 
-        monkeypatch.setattr("gabor_lca.gabor.frame_operator", refuse)
+        for module in ("gabor", "experiments"):
+            monkeypatch.setattr(f"gabor_lca.{module}.frame_operator", refuse)
+            monkeypatch.setattr(f"gabor_lca.{module}.janssen_operator", refuse)
+        cases = [c for v in found.values() for c in v]
         for G in (Z(64), Z(8, 8)):
-            g = gl.random_window(G, rng)
-            delta = TfLattice.full_plane(G)
+            cases.append((gl.random_window(G, rng), TfLattice.full_plane(G)))
+        for g, delta in cases:
             report = gl.frame_bounds(g, delta)
-            assert report.route == "adjoint" and report.is_frame
-            h = gl.canonical_dual(g, delta)
-            assert gl.wexler_raz_check(g, h, delta).holds
+            assert report.is_frame == (delta.volume <= 1)
+            if report.is_frame:
+                h = gl.canonical_dual(g, delta)
+                assert gl.wexler_raz_check(g, h, delta).holds
         G = Z(8)
         sweep = gl.window_stability_sweep(gl.random_window(G, rng), TfLattice.full_plane(G),
                                           [0.0, 0.1])
         assert sweep.passed
+        window, lattice = gl.tensor_onb(*gl.standard_onb(Z(2)), *gl.standard_onb(Z(3)))
+        assert lattice.order == window.group.cardinality == 6
 
     def test_adjoint_is_cached_on_the_lattice(self):
         rng = rng_for(54)
