@@ -290,11 +290,11 @@ def sub_index_table(orders: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _multiples(orders: tuple[int, ...], x: int) -> np.ndarray:
-    """Indices of k*x for k = 0..ord(x), in the smallest dtype (a walk keeps a row per x)."""
-    c = coords_matrix(orders)[x]
-    order = math.lcm(*(n // math.gcd(ci, n) for ci, n in zip(c.tolist(), orders)))
-    out = np.arange(order + 1)[:, None] * c % np.array(orders) @ _row_major_strides(orders)
+def _multiples(orders: tuple[int, ...], xs) -> np.ndarray:
+    """Indices of k*x for k = 0..exp(G), one row per index x in ``xs`` (one for a
+    scalar), in the smallest dtype that holds an index."""
+    k = np.arange(math.lcm(*orders) + 1)[:, None]
+    out = k * coords_matrix(orders)[xs][..., None, :] % np.array(orders) @ _row_major_strides(orders)
     return out.astype(np.min_scalar_type(math.prod(orders)))
 
 
@@ -495,25 +495,33 @@ def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
     """Every subgroup, ordered by (order, indices), each with its greedy generators.
 
     The walk extends H = <g_1..g_i> by each coset leader x > g_i and keeps
-    <H, x> exactly when no point of it outside H is below x.  As the g_i
-    ascend, the kept tuples are exactly the greedy generators that
-    ``from_indices`` recovers, and a subgroup has one such tuple, so each
-    subgroup is reached exactly once.
+    <H, x> iff x is its smallest point outside H, so the kept tuples are
+    exactly the greedy generators of ``from_indices``, one per subgroup.
+    With cm(y) the smallest index of y + H and m_x the order of x modulo H,
+    that is min over 1 <= k < m_x of cm(k*x) >= x, one gather per block of
+    leaders.  No closure runs: <H, x> has the minima min over k < m_x of
+    cm(y + k*x), found in log2(m_x) doubling steps, and is where they are 0.
     """
     _check_table_size(group.orders)
-    orders, card = group.orders, group.cardinality
-    trivial = _mask(card, 0)
-    found, stack = [], [(Subgroup(group, (), np.flatnonzero(trivial)), trivial)]
-    multiples = lru_cache(maxsize=None)(lambda x: _multiples(orders, x))  # once per walk
+    orders, card, every = group.orders, group.cardinality, np.arange(group.cardinality)
+    found, stack = [], [(Subgroup(group, (), every[:1]), every)]
     while stack:
-        H, mask = stack.pop()
+        H, cm = stack.pop()  # cm[y] is the smallest index of the coset y + H
         found.append(H)
         start = H.generators[-1].index + 1 if H.generators else 1
-        for x in _coset_leaders(H, np.arange(start, card)).tolist():
-            closed = _close(orders, mask, multiples(x))
-            if np.array_equal(closed[:x], mask[:x]):
+        leaders = np.flatnonzero(cm[start:] == every[start:]) + start
+        outside = np.where(cm == 0, card, cm)  # H's own coset, set to |G|, rejects no leader
+        for lo in range(0, len(leaders), 64):  # exp(G) <= _TABLE_CAP bounds a block's multiples
+            xs = leaders[lo:lo + 64]
+            lows = outside[mult := _multiples(orders, xs)]
+            keep = lows.min(axis=1) >= xs
+            for x, row, kx in zip(xs[keep].tolist(), lows[keep], mult[keep]):
+                m, cm_x, shift = 1 + int(np.argmax(row[1:] == card)), cm, 1
+                while shift < m:  # cm_x(y) = min of cm(y + k*x) over k < 2*shift, m-periodic in k
+                    cm_x = np.minimum(cm_x, cm_x[_index_sum(orders, every, kx[shift])])
+                    shift *= 2
                 gens = H.generators + (group.element_by_index(x),)
-                stack.append((Subgroup(group, gens, np.flatnonzero(closed)), closed))
+                stack.append((Subgroup(group, gens, np.flatnonzero(cm_x == 0)), cm_x))
     return sorted(found, key=lambda H: (H.order, H.index_array.tolist()))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gabor_lca as gl
+from gabor_lca import groups
 from gabor_lca.groups import (
     CardinalityCapError,
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
     _close,
+    _coset_leaders,
     _coset_minima,
     _index_sum,
+    _mask,
+    _multiples,
     add_index_table,
     coords_matrix,
     pair_exponent_table,
@@ -154,6 +159,32 @@ def all_subgroups_by_add_table(group):
         elems = [group.element_by_index(i) for i in sorted(member_set)]
         out.append(from_elements_by_closure(group, elems))
     return out
+
+
+def all_subgroups_by_closure(group):
+    """Oracle for ``all_subgroups``: the walk it replaced, which closes <H, x>
+    for every coset leader x > g_i of each H = <g_1..g_i> and keeps it when
+    no point of it outside H is below x.  It calls ``groups._close`` through
+    the module, so ``count_closures`` counts its closures."""
+    orders, card = group.orders, group.cardinality
+    trivial = _mask(card, 0)
+    found, stack = [], [(Subgroup(group, (), np.flatnonzero(trivial)), trivial)]
+    multiples = lru_cache(maxsize=None)(lambda x: _multiples(orders, x))  # once per walk
+    while stack:
+        H, mask = stack.pop()
+        found.append(H)
+        start = H.generators[-1].index + 1 if H.generators else 1
+        for x in _coset_leaders(H, np.arange(start, card)).tolist():
+            closed = groups._close(orders, mask, multiples(x))
+            if np.array_equal(closed[:x], mask[:x]):
+                gens = H.generators + (group.element_by_index(x),)
+                stack.append((Subgroup(group, gens, np.flatnonzero(closed)), closed))
+    return sorted(found, key=lambda H: (H.order, H.index_array.tolist()))
+
+
+def walk_record(subs):
+    """What a walk must reproduce exactly: list order, index arrays and generators."""
+    return [(H.index_array.tolist(), [g.coords for g in H.generators]) for H in subs]
 
 
 def gaussian_binomial(n, k, p):
@@ -517,6 +548,20 @@ class TestIndexCore:
             for H in subs:
                 assert Subgroup.from_indices(G, H.index_array).generators == H.generators
 
+    def test_all_subgroups_match_closure_walk(self):
+        shapes = shapes_up_to(64)
+        assert len(shapes) == 198
+        cases = [FiniteLcaGroup(orders) for orders in shapes]
+        cases += [FiniteLcaGroup(orders).plane() for orders in [(2,), (3,), (4,), (6,), (2, 2), (8,)]]
+        for G in cases:
+            assert walk_record(gl.all_subgroups(G)) == walk_record(all_subgroups_by_closure(G)), str(G)
+
+    @pytest.mark.parametrize("orders", [(2048,), (2, 1024)])
+    def test_all_subgroups_match_closure_walk_at_table_cap(self, orders):
+        G = FiniteLcaGroup(orders)
+        assert G.cardinality == groups._TABLE_CAP
+        assert walk_record(gl.all_subgroups(G)) == walk_record(all_subgroups_by_closure(G))
+
     @pytest.mark.parametrize("orders", [(4,), (6,), (2, 2)])
     def test_plane_subgroups_match_element_oracle(self, orders):
         plane = FiniteLcaGroup(orders).plane()
@@ -593,12 +638,15 @@ class TestKernelSubgroups:
                 assert_kernel_matches(gl.annihilator(H), annihilator_by_from_indices(H))
 
     def test_closure_count_of_subgroup_walk_and_annihilators(self, monkeypatch):
-        """10,784 closures, all in the ``all_subgroups`` walks; recovering the
-        annihilators' generators at build time took 5,216 more."""
+        """The coset-minima walk and the annihilators of its subgroups run no
+        closure; the closure walk it replaced runs 10,784 on the same shapes."""
         shapes = shapes_up_to(63)
         assert len(shapes) == 187
         calls = count_closures(monkeypatch)
         for orders in shapes:
             for H in gl.all_subgroups(FiniteLcaGroup(orders)):
                 gl.annihilator(H)
+        assert calls[0] == 0
+        for orders in shapes:
+            all_subgroups_by_closure(FiniteLcaGroup(orders))
         assert calls[0] == 10784
