@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ._literals import coord_tuples, read_list, scalars
 from .padic import (
     RationalLike,
     RationalMatrix,
@@ -407,7 +408,7 @@ def parse_lca_group_spec(text: str) -> LcaGroupDescription:
         key = key.strip()
         _refuse_repeated(key, seen)
         if key == "S":
-            primes = PlaceSet(tuple(int(v) for v in value.split(",") if v.strip() != "")).primes
+            primes = PlaceSet(tuple(int(v) for v in scalars(read_list(value)))).primes
         elif key == "n":
             n = int(value)
         else:
@@ -488,13 +489,10 @@ def _parse_rational(text: str) -> Fraction:
 
 def _parse_matrix_literal(text: str) -> RationalMatrix:
     body = text.strip()
-    if not (body.startswith("[[") and body.endswith("]]")):
+    items = read_list(body, brackets="[]")
+    if not (body.startswith("[[") and body.endswith("]]")) or len(items) != 1:
         raise ValueError(f"matrix literal must look like [[..],[..]]: {text!r}")
-    rows = re.findall(r"\[([^\[\]]*)\]", body)
-    parsed = []
-    for row in rows:
-        parsed.append([_parse_rational(v) for v in row.split(",") if v.strip() != ""])
-    return RationalMatrix.from_rows(parsed)
+    return RationalMatrix.from_rows(coord_tuples(items[0], _parse_rational))
 
 
 def parse_automorphism_document(text: str,
@@ -521,7 +519,7 @@ def parse_automorphism_document(text: str,
             key = f"A{int(key[1:])}"
         _refuse_repeated("Ainf" if key == "A_inf" else key, seen)
         if key == "S":
-            primes = tuple(int(v) for v in value.split(",") if v.strip() != "")
+            primes = tuple(int(v) for v in scalars(read_list(value)))
         elif key in ("Ainf", "A_inf"):
             a_inf = _parse_matrix_literal(value)
         elif re.fullmatch(r"A\d+", key):

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 # without numpy.  The float handlers and the literal parsers import numpy,
 # groups, gabor, zak and experiments where they use them.
 from . import adeles, padic
+from ._literals import coord_tuples, read_list, scalars
 
 if TYPE_CHECKING:
     from . import experiments, gabor
@@ -76,43 +77,10 @@ def parse_window_literal(group: FiniteLcaGroup, text: str) -> gabor.Window:
         return win
     if body.startswith("values="):
         pairs = parse_coord_tuples(body[len("values="):], float)
-        vals = []
-        for p in pairs:
-            if len(p) != 2:
-                raise ValueError(f"window values must be (re,im) pairs, got {p}")
-            vals.append(complex(p[0], p[1]))
-        return gabor.Window(group, np.array(vals, dtype=np.complex128))
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError(f"window values must be (re,im) pairs, got {pairs}")
+        return gabor.Window(group, np.array([complex(*p) for p in pairs], dtype=np.complex128))
     raise ValueError(f"unknown window literal {text!r}")
-
-
-def _top_level_groups(body: str) -> list[str]:
-    """The parenthesized groups of ``body``: at least one, with nothing but
-    an optional ';' or 'x' separator between two of them."""
-    groups = []
-    depth = 0
-    start = end = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            if depth == 0:
-                gap = body[end:i].strip()
-                if gap and not (groups and gap in (";", "x")):
-                    raise ValueError(f"unexpected {gap!r} in plane generators {body!r}")
-                start = i
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {body!r}")
-            if depth == 0:
-                groups.append(body[start:i + 1])
-                end = i + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {body!r}")
-    if not groups:
-        raise ValueError(f"expected plane generators such as ((1),(0)), got {body!r}")
-    if body[end:].strip():
-        raise ValueError(f"unexpected {body[end:].strip()!r} in plane generators {body!r}")
-    return groups
 
 
 def parse_lattice_literal(group: FiniteLcaGroup, text: str) -> gabor.TfLattice:
@@ -125,7 +93,7 @@ def parse_lattice_literal(group: FiniteLcaGroup, text: str) -> gabor.TfLattice:
     generators and is the trivial lattice.
     """
     from . import gabor
-    from .groups import parse_coord_tuples, parse_subgroup_spec
+    from .groups import parse_subgroup_spec
     body = text.strip()
     if body == "time-axis":
         return gabor.TfLattice.time_axis(group)
@@ -142,23 +110,17 @@ def parse_lattice_literal(group: FiniteLcaGroup, text: str) -> gabor.TfLattice:
             return gabor.TfLattice.from_plane_generators(group, [])
         k = group.rank
         generators = []
-        for token in _top_level_groups(body):
-            inner = token[1:-1].strip()
-            tuples = parse_coord_tuples(inner)
-            if len(tuples) == 2:
-                x, w = tuples
-            elif len(tuples) == 1 and len(tuples[0]) == 2 * k:
-                x, w = tuples[0][:k], tuples[0][k:]
-            elif not tuples:
-                flat = tuple(int(v) for v in inner.split(",") if v.strip() != "")
-                if len(flat) != 2 * k:
-                    raise ValueError(f"plane generator needs {2 * k} coordinates: {token!r}")
-                x, w = flat[:k], flat[k:]
-            else:
-                raise ValueError(f"cannot read plane generator {token!r}")
-            if len(x) != k or len(w) != k:
-                raise ValueError(f"plane generator needs {k}+{k} coordinates: {token!r}")
-            generators.append((tuple(x), tuple(w)))
+        for item in read_list(body, separators=";x"):
+            if isinstance(item, str):
+                raise ValueError(f"plane generator {item!r} is not bracketed in {body!r}")
+            tuples = coord_tuples(item)
+            if len(tuples) == 1 and len(tuples[0]) == 2 * k:
+                tuples = [tuples[0][:k], tuples[0][k:]]
+            if [len(t) for t in tuples] != [k, k]:
+                raise ValueError(f"plane generator needs {k}+{k} coordinates, got {tuples}")
+            generators.append(tuple(tuples))
+        if not generators:
+            raise ValueError(f"expected plane generators such as ((1),(0)), got {body!r}")
         return gabor.TfLattice.from_plane_generators(group, generators)
     raise ValueError(f"unknown lattice literal {text!r}")
 
@@ -173,13 +135,25 @@ def format_lattice_literal(delta: gabor.TfLattice) -> str:
     return "plane-gens=" + ";".join(parts) if parts else "plane-gens=(())"
 
 
+def _rationals(text: str) -> list[Fraction]:
+    """'(5/2,1)', or the bare '5/2,1', as a list of rationals."""
+    items = read_list(text)
+    if len(items) == 1 and isinstance(items[0], list):
+        items = items[0]
+    if not items:
+        raise ValueError(f"empty vector component {text!r}")
+    return [adeles._parse_rational(v) for v in scalars(items)]
+
+
 def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVector:
-    """'diag=(5/2,1)' or 'inf=(5/2); 2=(5/2); 3=(1/3,...)'."""
+    """'diag=(5/2,1)' or 'inf=(5/2); 2=(5/2); 3=(1/3,...)'.
+
+    Each component is one bracketed (or bare, '5/2,1') list of rationals, read
+    whole: '(5/2,1)junk', '((5/2,1))' and '(5/2,,1)' are refused.
+    """
     body = text.strip()
     if body.startswith("diag="):
-        values = [adeles._parse_rational(v)
-                  for v in body[len("diag="):].strip().strip("()").split(",")]
-        return adeles.AdeleVector.diagonal(place_set, values)
+        return adeles.AdeleVector.diagonal(place_set, _rationals(body[len("diag="):]))
     comps = {}
     seen = set()
     for item in body.split(";"):
@@ -191,7 +165,7 @@ def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVec
         if key not in ("inf", "default"):
             key = int(key)
         adeles._refuse_repeated(key, seen)
-        comps[key] = [adeles._parse_rational(v) for v in value.strip().strip("()").split(",")]
+        comps[key] = _rationals(value)
     inf = comps.pop("inf", None)
     default = comps.pop("default", None)
     if inf is None:
@@ -390,7 +364,7 @@ def _print_report(report: experiments.SweepReport, fmt: str) -> None:
 def _cmd_sweep_window(args) -> int:
     from . import experiments
     _, g, delta = _system_of_args(args)
-    eps = [float(v) for v in args.eps.split(",") if v.strip() != ""]
+    eps = [float(v) for v in scalars(read_list(args.eps))]
     report = experiments.window_stability_sweep(g, delta, eps, seed=args.seed)
     _print_report(report, args.format)
     return 0 if report.passed else 1
@@ -398,7 +372,7 @@ def _cmd_sweep_window(args) -> int:
 
 def _cmd_sweep_critical(args) -> int:
     from . import experiments
-    ns = [int(v) for v in args.n_list.split(",") if v.strip() != ""]
+    ns = [int(v) for v in scalars(read_list(args.n_list))]
     report = experiments.critical_density_trend(ns, include_control=not args.no_control)
     _print_report(report, args.format)
     return 0 if report.passed else 1
@@ -420,16 +394,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "p-adic and S-adelic lattice arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    # The argument sets that several subcommands share, each declared once.
+    system, zak_system, document, output = (argparse.ArgumentParser(add_help=False)
+                                            for _ in range(4))
+    for name in ("--group", "--window", "--lattice"):
+        system.add_argument(name, required=True)
+    for name in ("--group", "--window", "--subgroup"):
+        zak_system.add_argument(name, required=True)
+    document.add_argument("--file", required=True)
+    document.add_argument("--spec", default=None)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def add(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(func=func)
         return p
 
-    p = add("frame-bounds", _cmd_frame_bounds,
-            "optimal frame bounds of a Gabor system")
-    p.add_argument("--group", required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--lattice", required=True)
+    add("frame-bounds", _cmd_frame_bounds, "optimal frame bounds of a Gabor system", system)
 
     p = add("janssen-check", _cmd_janssen_check,
             "compare the lattice-sum and adjoint-lattice forms of the frame operator "
@@ -440,10 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=1e-10)
 
     p = add("wexler-raz", _cmd_wexler_raz,
-            "biorthogonality test for a window and (by default) its canonical dual")
-    p.add_argument("--group", required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--lattice", required=True)
+            "biorthogonality test for a window and (by default) its canonical dual", system)
     p.add_argument("--dual-window", default=None)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
@@ -451,15 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--lattice", required=True)
 
-    p = add("zak", _cmd_zak, "Zak transform as CSV rows plus a summary line")
-    p.add_argument("--group", required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--subgroup", required=True)
-
-    p = add("zak-min", _cmd_zak_min, "minimum modulus of a Zak transform")
-    p.add_argument("--group", required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--subgroup", required=True)
+    add("zak", _cmd_zak, "Zak transform as CSV rows plus a summary line", zak_system)
+    add("zak-min", _cmd_zak_min, "minimum modulus of a Zak transform", zak_system)
 
     p = add("s0-norm", _cmd_s0_norm,
             "time-frequency concentration norm of a window")
@@ -471,60 +442,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("rational")
     p.add_argument("prime", type=int)
 
-    p = add("adele-vol", _cmd_adele_vol,
-            "modular value and covolume of an adelic lattice")
-    p.add_argument("--file", required=True)
-    p.add_argument("--spec", default=None)
-
-    p = add("adele-member", _cmd_adele_member, "membership test with witness")
-    p.add_argument("--file", required=True)
+    add("adele-vol", _cmd_adele_vol,
+        "modular value and covolume of an adelic lattice", document)
+    p = add("adele-member", _cmd_adele_member, "membership test with witness", document)
     p.add_argument("--vector", required=True)
-    p.add_argument("--spec", default=None)
-
-    p = add("adele-equal", _cmd_adele_equal, "semantic equality of two adelic lattices")
-    p.add_argument("--file", required=True)
+    p = add("adele-equal", _cmd_adele_equal, "semantic equality of two adelic lattices",
+            document)
     p.add_argument("--file2", required=True)
-    p.add_argument("--spec", default=None)
 
     p = add("blt-classify", _cmd_blt_classify,
             "Balian-Low dichotomy for a group specification")
     p.add_argument("spec")
 
-    p = add("deform-margin", _cmd_deform_margin,
-            "largest volume-preserving deformation margin of an adelic lattice")
-    p.add_argument("--file", required=True)
-    p.add_argument("--spec", default=None)
+    add("deform-margin", _cmd_deform_margin,
+        "largest volume-preserving deformation margin of an adelic lattice", document)
 
     p = add("transference-check", _cmd_transference_check,
-            "dual-pair transference between a base group and its compact-open product")
-    p.add_argument("--group", required=True)
-    p.add_argument("--window", required=True)
+            "dual-pair transference between a base group and its compact-open product", system)
     p.add_argument("--dual-window", required=True)
-    p.add_argument("--lattice", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    p = add("sweep-window", _cmd_sweep_window, "window-perturbation stability sweep")
-    p.add_argument("--group", required=True)
-    p.add_argument("--window", required=True)
-    p.add_argument("--lattice", required=True)
+    p = add("sweep-window", _cmd_sweep_window, "window-perturbation stability sweep",
+            system, output)
     p.add_argument("--eps", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("sweep-critical", _cmd_sweep_critical,
-            "conditioning trend at critical density with an oversampled control")
+            "conditioning trend at critical density with an oversampled control", output)
     p.add_argument("--n-list", required=True)
     p.add_argument("--no-control", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("density-exhaust", _cmd_density_exhaust,
-            "exhaustive density-theorem scan over all plane subgroups")
+            "exhaustive density-theorem scan over all plane subgroups", output)
     p.add_argument("--group", required=True)
     p.add_argument("--windows", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 

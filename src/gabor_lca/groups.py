@@ -16,6 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._literals import coord_tuples, read_list
+
 #: Hard ceiling on group cardinality (desk scale).
 CARDINALITY_CAP = 4096
 
@@ -543,21 +545,14 @@ def parse_coord_tuples(text: str, cast=int) -> list[tuple]:
     """Parse '(2,0),(0,2)' (or bare '2,3' for rank-1 groups) into tuples.
 
     Entries are read with ``cast``: integer coordinates by default, ``float``
-    for the (re,im) pairs of window values.
+    for the (re,im) pairs of window values.  Tuples are separated by ',';
+    text they leave unread, such as '(2)junk(1)', and a blank entry such as
+    '(1,,0)' are refused.
     """
     body = text.strip()
     if body.startswith("gens="):
         body = body[len("gens="):]
-    tuples = re.findall(r"\(([^()]*)\)", body)
-    if tuples:
-        out = []
-        for t in tuples:
-            items = [s for s in t.split(",") if s.strip() != ""]
-            out.append(tuple(cast(s) for s in items))
-        return out
-    if body == "":
-        return []
-    return [(cast(s),) for s in body.split(",")]
+    return coord_tuples(read_list(body), cast)
 
 
 def parse_subgroup_spec(group: FiniteLcaGroup, text: str) -> Subgroup:

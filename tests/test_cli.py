@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -310,6 +311,30 @@ class TestRefusedInputs:
     def test_garbage_lattice_literal(self, capsys, literal):
         self.assert_refused(capsys, "adjoint", "--group", "Z4", "--lattice", literal)
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["zak-min", "--group", "Z4", "--window", "delta0", "--subgroup", "gens=(2)junk(1)"],
+         "junk(1)"),
+        (["frame-bounds", "--group", "Z4", "--window", "values=(1,0)junk(0,0),(0,0),(0,0)",
+          "--lattice", "time-axis"], "junk(0,0)"),
+        (["frame-bounds", "--group", "Z4", "--window", "delta0",
+          "--lattice", "separable:gens=(2)banana"], "banana"),
+        (["frame-bounds", "--group", "Z4", "--window", "values=(1,,0),(0,0),(0,0),(0,0)",
+          "--lattice", "time-axis"], "(1,,0)"),
+        (["adele-vol", "--file", "unread.txt"], "junk[0, 2]]"),
+        (["adele-vol", "--file", "blank.txt"], "2,,3"),
+        (["blt-classify", "A_Q{S=2,,3; n=2}"], "2,,3"),
+        (["sweep-critical", "--n-list", "2,,3"], "2,,3"),
+        (["sweep-window", "--group", "Z8", "--window", "gauss",
+          "--lattice", "plane-gens=((2),(0));((0),(2))", "--eps", "0,0.01,"], "0,0.01,"),
+    ])
+    def test_unread_text_refused_and_named(self, capsys, tmp_path, monkeypatch, argv, unread):
+        (tmp_path / "unread.txt").write_text("S = 2,3\nAinf = [[1/2, 0]junk[0, 2]]\n",
+                                             encoding="utf-8")
+        (tmp_path / "blank.txt").write_text("S = 2,,3\nAinf = [[1]]\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        self.assert_refused(capsys, *argv)
+        assert unread in run(capsys, *argv)[2]
+
     @pytest.mark.parametrize("literal", ["plane-gens=(())", "plane-gens=((1,0))x((0,0))",
                                          "plane-gens=((2),(0)) ; ((0),(2))"])
     def test_separators_still_accepted(self, capsys, literal):
@@ -573,25 +598,31 @@ FUZZ_GROUPS = ["Z1", "Z2", "Z3", "Z4", "Z6", "Z8", "Z16", "Z2xZ2", "Z2xZ4",
                "G4", "Z0", "Z4x", "z4", ""]
 FUZZ_WINDOWS = ["delta0", "gauss", "const", "values=(1,0),(0,0)",
                 "values=(1,0),(0,0),(0,0),(0,0)", "values=(1),(0)",
-                "values=(nan,0),(0,0)", "values=(1e308,0),(1e308,0)", "values=", "square"]
+                "values=(nan,0),(0,0)", "values=(1e308,0),(1e308,0)", "values=", "square",
+                "values=(1,0)junk(0,0),(0,0),(0,0)", "values=(1,,0),(0,0)", "values=(1,0)(0,0)"]
 FUZZ_LATTICES = ["time-axis", "frequency-axis", "full-plane", "separable:gens=(2)",
                  "separable:gens=(1,0)", "separable:gens=", "plane-gens=((2),(0));((0),(2))",
                  "plane-gens=((1,0))", "plane-gens=((1,1),(0,1))", "plane-gens=(())",
-                 "plane-gens=((1),(0)", "plane-gens=((x),(0))", "plane-gens=", "lattice"]
-FUZZ_SUBGROUPS = ["gens=(2)", "gens=(1,0)", "gens=(0,2)", "gens=", "gens=(2", "gens=(a)", "4"]
+                 "plane-gens=((1),(0)", "plane-gens=((x),(0))", "plane-gens=", "lattice",
+                 "separable:gens=(2)banana", "plane-gens=((1),(0))((0),(1))"]
+FUZZ_SUBGROUPS = ["gens=(2)", "gens=(1,0)", "gens=(0,2)", "gens=", "gens=(2", "gens=(a)", "4",
+                  "gens=(2)junk(1)", "gens=(2),", "gens=((2))", "gens=(1,,0)"]
 FUZZ_NUMBERS = ["0", "1", "2", "3", "4", "8", "20", "-1", "0.5", "1e-9", "nan", "inf", "x", ""]
 FUZZ_RATIONALS = ["12", "5/2", "-3/4", "0", "1/0", "x", ""]
 FUZZ_SPECS = ["A_Q{S=2,3; n=2}", "A_Q{S=2; n=1}", "Q_S{S=2; n=1}", "A_Q{S=4;n=1}",
-              "A_Q{S=; n=1}", "A_Q{S=2; n=0}", "R^2", "Z4", "{", ""]
+              "A_Q{S=; n=1}", "A_Q{S=2; n=0}", "R^2", "Z4", "{", "", "A_Q{S=2,,3; n=2}"]
 FUZZ_VECTORS = ["diag=(5/2,1)", "diag=(5/2)", "diag=(1/0,1)", "inf=(1,0); 2=(1,0)",
-                "inf=(1,0); 2=(1,0); 2=(0,1)", "inf=(1,2); 5=(1,2)", "2=(1,0)", "diag=(x,1)"]
+                "inf=(1,0); 2=(1,0); 2=(0,1)", "inf=(1,2); 5=(1,2)", "2=(1,0)", "diag=(x,1)",
+                "diag=(5/2,1)junk", "diag=((5/2,1))", "diag=(5/2,,1)", "diag=", "diag=(5/2),(1)"]
 FUZZ_DOCUMENTS = {"auto.txt": AUTO, "rebased.txt": AUTO_REBASED,
                   "zero.txt": "S = 2\nAinf = [[1/0]]\n",
                   "big.txt": "S =\nAinf = [[2, 0], [0, 1]]\n",
-                  "junk.txt": "Ainf = [[1, 2]\n", "empty.txt": ""}
+                  "junk.txt": "Ainf = [[1, 2]\n", "empty.txt": "",
+                  "unread.txt": "S = 2,3\nAinf = [[1/2, 0]junk[0, 2]]\n",
+                  "blank.txt": "S = 2,3\nAinf = [[1/2, 0], [0, 2]]\nA2 = [[2,, 0], [0, 1]]\n"}
 FUZZ_FILES = sorted(FUZZ_DOCUMENTS) + ["missing.txt"]
-FUZZ_EPS = ["0,0.01,0.02", "0", "0.02,0.01", "0,inf", "nan", ",", "x"]
-FUZZ_N_LISTS = ["2", "2,3", "3,2", "2,2", "1", ",", "x"]
+FUZZ_EPS = ["0,0.01,0.02", "0", "0.02,0.01", "0,inf", "nan", ",", "x", "0,,0.01"]
+FUZZ_N_LISTS = ["2", "2,3", "3,2", "2,2", "1", ",", "x", "2,3,"]
 FUZZ_FORMATS = ["csv", "json", "xml"]
 
 #: Subcommand -> (option or None for a positional, pool or None for a flag).
@@ -665,3 +696,51 @@ class TestArgvFuzz:
         assert code in (0, 1, 2), argv
         if code == 2:
             assert "error:" in err.getvalue() and out.getvalue() == "", argv
+
+
+REQUIRED, OPTIONAL = (True, None, None, None, None), (False, None, None, None, None)
+SEED, FORMAT = (False, 0, int, None, None), (False, "csv", None, ("csv", "json"), None)
+SYSTEM = {"--group": REQUIRED, "--window": REQUIRED, "--lattice": REQUIRED}
+DOCUMENT = {"--file": REQUIRED, "--spec": OPTIONAL}
+
+#: Subcommand -> option -> (required, default, type, choices, nargs), as the
+#: parser declared them one subcommand at a time.
+ARGUMENTS = {
+    "frame-bounds": SYSTEM,
+    "janssen-check": {"--count": (False, 100, int, None, None), "--seed": SEED,
+                      "--max-card": (False, 36, int, None, None),
+                      "--tol": (False, 1e-10, cli._tolerance, None, None)},
+    "wexler-raz": {**SYSTEM, "--dual-window": OPTIONAL,
+                   "--tol": (False, 1e-9, cli._tolerance, None, None)},
+    "adjoint": {"--group": REQUIRED, "--lattice": REQUIRED},
+    "zak": {"--group": REQUIRED, "--window": REQUIRED, "--subgroup": REQUIRED},
+    "zak-min": {"--group": REQUIRED, "--window": REQUIRED, "--subgroup": REQUIRED},
+    "s0-norm": {"--group": REQUIRED, "--window": REQUIRED, "--reference": OPTIONAL},
+    "padic-abs": {"rational": REQUIRED, "prime": (True, None, int, None, None)},
+    "adele-vol": DOCUMENT,
+    "adele-member": {**DOCUMENT, "--vector": REQUIRED},
+    "adele-equal": {**DOCUMENT, "--file2": REQUIRED},
+    "blt-classify": {"spec": REQUIRED},
+    "deform-margin": DOCUMENT,
+    "transference-check": {**SYSTEM, "--dual-window": REQUIRED,
+                           "--M": (True, None, int, None, None),
+                           "--d": (True, None, int, None, None),
+                           "--tol": (False, 1e-9, cli._tolerance, None, None)},
+    "sweep-window": {**SYSTEM, "--eps": REQUIRED, "--seed": SEED, "--format": FORMAT},
+    "sweep-critical": {"--n-list": REQUIRED, "--no-control": (False, False, None, None, 0),
+                       "--format": FORMAT},
+    "density-exhaust": {"--group": REQUIRED, "--windows": (False, 20, int, None, None),
+                        "--seed": SEED, "--format": FORMAT},
+}
+
+
+class TestParserArguments:
+    def test_every_subcommand_keeps_its_arguments(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            name: {(a.option_strings or [a.dest])[0]: (a.required, a.default, a.type,
+                                                        a.choices, a.nargs)
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()}
+        assert declared == ARGUMENTS
