@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from gabor_lca import experiments as ex
+from gabor_lca._literals import read_list, scalars
 from gabor_lca.gabor import TfLattice
 from gabor_lca.groups import parse_group_spec
 
@@ -26,27 +27,30 @@ def main(argv=None) -> int:
     parser.add_argument("--density-groups", default="Z4,Z2xZ2")
     args = parser.parse_args(argv)
 
+    # Every list is read before any sweep runs, and every sweep runs before
+    # any file is written, so bad input leaves no partial output behind.
+    try:
+        ns = [int(v) for v in scalars(read_list(args.n_list))]
+        eps = [float(v) for v in scalars(read_list(args.eps))]
+        specs = scalars(read_list(args.density_groups))
+        groups = [parse_group_spec(spec) for spec in specs]
+        g = ex.periodized_gaussian(16, center=0.5)
+        delta = TfLattice.from_plane_generators(g.group, [((2,), (0,)), ((0,), (4,))])
+        trend = ex.critical_density_trend(ns)
+        sweep = ex.window_stability_sweep(g, delta, eps, seed=args.seed)
+        scans = [ex.density_exhaustive(group, windows_per_lattice=20, seed=args.seed)
+                 for group in groups]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    reports = []
-
-    ns = [int(v) for v in args.n_list.split(",")]
-    trend = ex.critical_density_trend(ns)
-    (out / "critical_density_trend.csv").write_text(trend.to_csv(), encoding="utf-8")
-    reports.append(trend)
-
-    g = ex.periodized_gaussian(16, center=0.5)
-    delta = TfLattice.from_plane_generators(g.group, [((2,), (0,)), ((0,), (4,))])
-    eps = [float(v) for v in args.eps.split(",")]
-    sweep = ex.window_stability_sweep(g, delta, eps, seed=args.seed)
-    (out / "window_stability.csv").write_text(sweep.to_csv(), encoding="utf-8")
-    reports.append(sweep)
-
-    for spec in args.density_groups.split(","):
-        group = parse_group_spec(spec)
-        scan = ex.density_exhaustive(group, windows_per_lattice=20, seed=args.seed)
-        (out / f"density_exhaustive_{spec}.csv").write_text(scan.to_csv(), encoding="utf-8")
-        reports.append(scan)
+    files = {"critical_density_trend.csv": trend, "window_stability.csv": sweep,
+             **{f"density_exhaustive_{spec}.csv": scan for spec, scan in zip(specs, scans)}}
+    for name, report in files.items():
+        (out / name).write_text(report.to_csv(), encoding="utf-8")
+    reports = list(files.values())
 
     summary = {rep.name if rep.name != "density_exhaustive" else
                f"{rep.name}_{rep.summary.get('group')}":

@@ -43,7 +43,6 @@ _EXPORTS = {name: (module, name) for module, names in (
         "SweepReport", "critical_density_trend", "density_exhaustive",
         "periodized_gaussian", "window_stability_sweep")),
 ) for name in names}
-_EXPORTS["adele_lattice_volume"] = ("adeles", "lattice_volume")
 
 __all__ = sorted([*_SUBMODULES, *_EXPORTS])
 

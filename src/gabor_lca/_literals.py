@@ -1,5 +1,6 @@
 """The one reader of list literals such as '2,3', '(2,0),(0,2)' and
-'[[1/2, 0], [0, 2]]'.  Standard library only: the exact subcommands load no numpy."""
+'[[1/2, 0], [0, 2]]', and of 'key=value; ...' items.  Standard library only:
+the exact subcommands load no numpy."""
 
 from __future__ import annotations
 
@@ -61,3 +62,20 @@ def coord_tuples(items: list, cast=int) -> list[tuple]:
     if all(isinstance(v, str) for v in items):
         return [(cast(v),) for v in items]
     return [tuple(cast(v) for v in scalars(item)) for item in items]
+
+
+def key_values(text: str, key=str) -> dict:
+    """The 'key=value' items of ``text``, separated by ';', as {key(k): v} with
+    k and v stripped; blank text is empty.  A blank item ('a=1;;b=2', 'a=1;'),
+    an item with no '=' and a key given twice raise ValueError naming it."""
+    out: dict = {}
+    for item in text.split(";") if text.strip() else ():
+        k, sep, value = item.partition("=")
+        if not item.strip():
+            raise ValueError(f"blank item in {text!r}")
+        if not sep:
+            raise ValueError(f"expected key=value, got {item.strip()!r} in {text!r}")
+        if (k := key(k.strip())) in out:
+            raise ValueError(f"repeated key {k!r}")
+        out[k] = value.strip()
+    return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._literals import coord_tuples, read_list, scalars
+from ._literals import coord_tuples, key_values, read_list, scalars
 from .padic import (
     RationalLike,
     RationalMatrix,
@@ -399,14 +399,7 @@ def parse_lca_group_spec(text: str) -> LcaGroupDescription:
     kind = "adele" if m.group(1) == "A_Q" else "local"
     primes: tuple[int, ...] = ()
     n = 1
-    seen = set()
-    for item in m.group(2).split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        key = key.strip()
-        _refuse_repeated(key, seen)
+    for key, value in key_values(m.group(2)).items():
         if key == "S":
             primes = PlaceSet(tuple(int(v) for v in scalars(read_list(value)))).primes
         elif key == "n":

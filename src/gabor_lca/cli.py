@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 # without numpy.  The float handlers and the literal parsers import numpy,
 # groups, gabor, zak and experiments where they use them.
 from . import adeles, padic
-from ._literals import coord_tuples, read_list, scalars
+from ._literals import coord_tuples, key_values, read_list, scalars
 
 if TYPE_CHECKING:
     from . import experiments, gabor
@@ -154,18 +154,8 @@ def parse_adele_vector(place_set: adeles.PlaceSet, text: str) -> adeles.AdeleVec
     body = text.strip()
     if body.startswith("diag="):
         return adeles.AdeleVector.diagonal(place_set, _rationals(body[len("diag="):]))
-    comps = {}
-    seen = set()
-    for item in body.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in ("inf", "default"):
-            key = int(key)
-        adeles._refuse_repeated(key, seen)
-        comps[key] = _rationals(value)
+    items = key_values(body, key=lambda k: k if k in ("inf", "default") else int(k))
+    comps = {key: _rationals(value) for key, value in items.items()}
     inf = comps.pop("inf", None)
     default = comps.pop("default", None)
     if inf is None:

@@ -300,6 +300,17 @@ def _multiples(orders: tuple[int, ...], xs) -> np.ndarray:
     return out.astype(np.min_scalar_type(math.prod(orders)))
 
 
+def _joined_minima(orders: tuple[int, ...], cm: np.ndarray, multiples: np.ndarray) -> np.ndarray:
+    """Coset minima of <H, x> from those of H (cm[y], the smallest index of y + H)
+    and the ``_multiples`` row of x: the minimum of cm(y + k*x) over k below the
+    order m of x modulo H, in log2(m) doubling gathers."""
+    m, shift = 1 + int(np.argmax(cm[multiples[1:]] == 0)), 1
+    while shift < m:  # cm(y) = min of cm(y + k*x) over k < 2*shift, m-periodic in k
+        cm = np.minimum(cm, cm[_index_sum(orders, slice(None), multiples[shift])])
+        shift *= 2
+    return cm
+
+
 def _close(orders: tuple[int, ...], mask: np.ndarray, multiples: np.ndarray) -> np.ndarray:
     """Membership mask of <H, x>, for the subgroup H with membership ``mask``.
 
@@ -357,6 +368,16 @@ class Subgroup:
     def generators(self) -> tuple[GroupElement, ...]:
         """The greedy generators of ``from_indices``, recovered on first read."""
         return _greedy_generators(self.group, _mask(self.group.cardinality, self.index_array))[0]
+
+    @cached_property
+    def _minima(self) -> np.ndarray:
+        """cm[y], the smallest index of y + self (read-only): the doubling step joins
+        the smallest point not yet reached, so no generator has to be recovered."""
+        orders, cm = self.group.orders, np.arange(self.group.cardinality)
+        while (missed := np.flatnonzero(cm[self.index_array])).size:
+            cm = _joined_minima(orders, cm, _multiples(orders, self.index_array[missed[0]]))
+        cm.setflags(write=False)
+        return cm
 
     def __repr__(self) -> str:
         gens = self.__dict__.get("generators")  # reading the property would recover them
@@ -476,8 +497,7 @@ def _coset_minima(sub: Subgroup, xs) -> np.ndarray:
     That index is the canonical representative of the coset: under the
     row-major strides it is the lexicographically smallest coordinate tuple.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    return _index_sum(sub.group.orders, xs[..., None], sub.index_array).min(axis=-1)
+    return sub._minima[np.asarray(xs, dtype=np.int64)]
 
 
 def coset_transversal(group: FiniteLcaGroup, sub: Subgroup) -> list[GroupElement]:
@@ -501,8 +521,8 @@ def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
     exactly the greedy generators of ``from_indices``, one per subgroup.
     With cm(y) the smallest index of y + H and m_x the order of x modulo H,
     that is min over 1 <= k < m_x of cm(k*x) >= x, one gather per block of
-    leaders.  No closure runs: <H, x> has the minima min over k < m_x of
-    cm(y + k*x), found in log2(m_x) doubling steps, and is where they are 0.
+    leaders.  No closure runs: ``_joined_minima`` doubles cm into the minima
+    of <H, x>, which is where they are 0.
     """
     _check_table_size(group.orders)
     orders, card, every = group.orders, group.cardinality, np.arange(group.cardinality)
@@ -517,11 +537,8 @@ def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
             xs = leaders[lo:lo + 64]
             lows = outside[mult := _multiples(orders, xs)]
             keep = lows.min(axis=1) >= xs
-            for x, row, kx in zip(xs[keep].tolist(), lows[keep], mult[keep]):
-                m, cm_x, shift = 1 + int(np.argmax(row[1:] == card)), cm, 1
-                while shift < m:  # cm_x(y) = min of cm(y + k*x) over k < 2*shift, m-periodic in k
-                    cm_x = np.minimum(cm_x, cm_x[_index_sum(orders, every, kx[shift])])
-                    shift *= 2
+            for x, kx in zip(xs[keep].tolist(), mult[keep]):
+                cm_x = _joined_minima(orders, cm, kx)
                 gens = H.generators + (group.element_by_index(x),)
                 stack.append((Subgroup(group, gens, np.flatnonzero(cm_x == 0)), cm_x))
     return sorted(found, key=lambda H: (H.order, H.index_array.tolist()))

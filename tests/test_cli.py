@@ -335,6 +335,21 @@ class TestRefusedInputs:
         self.assert_refused(capsys, *argv)
         assert unread in run(capsys, *argv)[2]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["adele-member", "--file", "auto.txt", "--vector", "inf=(5/2,1);;default=(5/2,1)"],
+         "blank item"),
+        (["adele-member", "--file", "auto.txt", "--vector", "inf=(5/2,1);default=(5/2,1);"],
+         "blank item"),
+        (["blt-classify", "A_Q{S=2,3;; n=2}"], "blank item"),
+        (["blt-classify", "A_Q{ ; }"], "blank item"),
+        (["blt-classify", "A_Q{S; n=2}"], "expected key=value, got 'S'"),
+    ])
+    def test_blank_or_keyless_item_refused(self, capsys, tmp_path, monkeypatch, argv, named):
+        (tmp_path / "auto.txt").write_text("S = 2,3\nAinf = [[1,0],[0,1]]\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        self.assert_refused(capsys, *argv)
+        assert named in run(capsys, *argv)[2]
+
     @pytest.mark.parametrize("literal", ["plane-gens=(())", "plane-gens=((1,0))x((0,0))",
                                          "plane-gens=((2),(0)) ; ((0),(2))"])
     def test_separators_still_accepted(self, capsys, literal):
@@ -564,7 +579,8 @@ class TestLazyPackage:
         assert set(EAGER_EXPORTS[module]) <= set(dir(gabor_lca))
 
     def test_alias_and_unknown_names(self):
-        assert gabor_lca.adele_lattice_volume is adeles.lattice_volume
+        assert gabor_lca.adeles.lattice_volume is adeles.lattice_volume
+        assert "adele_lattice_volume" not in dir(gabor_lca)
         assert gabor_lca.lattice_volume is gabor_lca.groups.lattice_volume
         with pytest.raises(AttributeError):
             gabor_lca.no_such_name

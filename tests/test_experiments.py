@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -200,3 +201,22 @@ class TestSweepScript:
         assert outputs[0] == outputs[1]
         assert set(outputs[0]) == {"critical_density_trend.csv", "window_stability.csv",
                                    "density_exhaustive_Z2.csv", "summary.json"}
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--density-groups", "Z2,", "blank entry"),
+        ("--density-groups", "Z2,G4", "bad group spec"),
+        ("--n-list", "2,x", "'x'"),
+        ("--eps", "0,,0.01", "blank entry"),
+        ("--eps", "0.01,0", "strictly increasing"),
+    ])
+    def test_bad_lists_exit_2_and_write_nothing(self, tmp_path, capsys, flag, value, named):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_sweeps.py"
+        spec = importlib.util.spec_from_file_location("run_sweeps", script)
+        run_sweeps = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_sweeps)
+        out = tmp_path / "out"
+        code = run_sweeps.main(["--out", str(out), "--n-list", "2", "--eps", "0,0.01",
+                                "--density-groups", "Z2", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and named in err
+        assert not out.exists()

@@ -28,6 +28,7 @@ from gabor_lca.groups import (
     GroupShapeError,
     Subgroup,
     _close,
+    _coset_minima,
     _greedy_generators,
     add_index_table,
     char_table,
@@ -1268,6 +1269,8 @@ class TestKernelSubgroups:
             assert gl.lattice_volume(sub) * sub.order == sub.group.total_mass
             last = sub.group.element_by_index(int(sub.index_array[-1]))
             assert last in sub and sub.group.zero() in sub
+            minima = add_index_table(sub.group.orders)[:, sub.index_array].min(axis=1)
+            assert np.array_equal(_coset_minima(sub, np.arange(sub.group.cardinality)), minima)
             assert "None" not in repr(sub) and "<on first read>" in repr(sub)
         assert [sub.order for sub in built] == [4, 8, 8, 24]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -244,6 +245,19 @@ def coset_minima_by_loop(sub, xs):
     for h in sub.index_array:
         np.minimum(out, _index_sum(sub.group.orders, xs, h), out=out)
     return out
+
+
+def coset_minima_by_matrix(sub, xs):
+    """Oracle: the |xs| x |H| matrix of index sums x + h, minimised over h."""
+    xs = np.asarray(xs, dtype=np.int64)
+    return _index_sum(sub.group.orders, xs[..., None], sub.index_array).min(axis=-1)
+
+
+def assert_coset_minima_match(sub, xs):
+    fast = _coset_minima(sub, xs)
+    for oracle in (coset_minima_by_loop, coset_minima_by_matrix):
+        slow = oracle(sub, xs)
+        assert fast.shape == slow.shape and np.array_equal(fast, slow), (str(sub), oracle)
 
 
 def generators_and_elements(sub):
@@ -601,6 +615,9 @@ class TestIndexCore:
             assert np.array_equal(add_index_table(orders), rows), orders
 
     def test_coset_minima_match_loop_oracle(self):
+        """The doubled minima equal the loop and index-sum-matrix oracles on
+        enumerated subgroups, on every subgroup of the walk, and on their
+        kernel-built annihilators."""
         rng = np.random.default_rng(48)
         for orders in shapes_up_to(64):
             G = FiniteLcaGroup(orders)
@@ -610,8 +627,24 @@ class TestIndexCore:
             xs_cases = [int(rng.integers(card)), np.arange(card), rng.integers(card, size=(3, 5))]
             for H in subs:
                 for xs in xs_cases:
-                    fast, slow = _coset_minima(H, xs), coset_minima_by_loop(H, xs)
-                    assert fast.shape == slow.shape and np.array_equal(fast, slow), str(G)
+                    assert_coset_minima_match(H, xs)
+            for H in gl.all_subgroups(G):
+                assert_coset_minima_match(H, np.arange(card))
+                assert_coset_minima_match(gl.annihilator(H), np.arange(card))
+
+    def test_coset_transversal_memory_is_linear_in_the_group(self):
+        """Z4096 modulo <2>: the doubling holds a few |G|-sized arrays, where
+        an |xs| x |H| index-sum matrix peaks at 134 MB."""
+        G = FiniteLcaGroup((4096,))
+        H = gl.enumerate_subgroup(G, [G.element(2)])
+        tracemalloc.start()
+        try:
+            reps = gl.coset_transversal(G, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.coords for r in reps] == [(0,), (1,)]
+        assert peak < 2 * 2**20
 
     def test_coset_transversal_matches_covering_oracle(self):
         for orders in shapes_up_to(16):
