@@ -108,6 +108,7 @@ def window_stability_sweep(g: Window, delta: TfLattice,
     direction = direction * (1.0 / s0_norm(direction, g))
     adj = delta.adjoint
     inv_vol = 1.0 / float(delta.volume)
+    base_coeffs = _adjoint_coefficients(g, g, adj)
 
     rows = []
     bound_ok = True
@@ -115,9 +116,8 @@ def window_stability_sweep(g: Window, delta: TfLattice,
         perturbed = g + float(eps) * direction
         _, S_pert, report = _walnut_blocks(perturbed, delta)
         measured = float(np.linalg.norm(S_pert - S_base, 2, axis=(1, 2)).max())
-        diff = perturbed - g
-        coeffs = (_adjoint_coefficients(diff, perturbed, adj)
-                  + _adjoint_coefficients(g, diff, adj))
+        # <pi(z)g', g'> - <pi(z)g, g> is the two-term sum of the docstring (sesquilinearity)
+        coeffs = _adjoint_coefficients(perturbed, perturbed, adj) - base_coeffs
         bound = float(np.abs(coeffs).sum()) * inv_vol
         bound_ok = bound_ok and measured <= bound + 1e-10
         rows.append((float(eps), report.lower, report.upper,

@@ -581,14 +581,16 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     base_residual = _identity_defect(frame_operator(g, h, delta1))
     base_ok = base_residual <= tol
 
-    product_lattice = _product_lattice(delta1, TfLattice.separable(K, K_perp))
+    surrogate = TfLattice.separable(K, K_perp)
+    product_lattice = _product_lattice(delta1, surrogate)
     product = product_lattice.base_group
     g_t = Window(product, np.kron(g.values, one_k.values))
     h_t = Window(product, np.kron(h.values, one_k.values))
     vol = delta1.volume
     assert product_lattice.volume == vol
 
-    adj = adjoint_lattice(product_lattice)
+    # The commutation form of a product is the product of the forms (Jakobsen-Lemvig).
+    adj = _product_lattice(delta1.adjoint, surrogate.adjoint)
     # index = base index * M + surrogate index on each side of the product plane
     base_part_zero = (adj.x_indices < M) & (adj.w_indices < M)
     target = np.where(base_part_zero, float(vol), 0.0)

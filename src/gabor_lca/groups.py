@@ -311,32 +311,21 @@ def _joined_minima(orders: tuple[int, ...], cm: np.ndarray, multiples: np.ndarra
     return cm
 
 
-def _close(orders: tuple[int, ...], mask: np.ndarray, multiples: np.ndarray) -> np.ndarray:
-    """Membership mask of <H, x>, for the subgroup H with membership ``mask``.
-
-    <H, x> is the union of the cosets k*x + H for k below the order m of x
-    modulo H, so it is one sum of H's indices with the first m ``multiples``.
-    """
-    m = 1 + int(np.argmax(mask[multiples[1:]]))
-    out = np.zeros_like(mask)
-    out[_index_sum(orders, np.flatnonzero(mask)[:, None], multiples[:m])] = True
-    return out
-
-
 def _mask(card: int, indices) -> np.ndarray:
     out = np.zeros(card, dtype=bool)
     out[indices] = True
     return out
 
 
-def _greedy_generators(group: FiniteLcaGroup, given: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Greedy generators of mask ``given`` (ascending; a point joins when the earlier
-    ones miss it) and the mask they generate, which is ``given`` iff it is closed."""
-    gens, mask = [], _mask(group.cardinality, 0)
-    while (missing := np.flatnonzero(given & ~mask)).size:
-        gens.append(int(missing[0]))
-        mask = _close(group.orders, mask, _multiples(group.orders, gens[-1]))
-    return tuple(map(group.element_by_index, gens)), mask
+def _greedy_generators(group: FiniteLcaGroup, points: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Greedy generators of the sorted indices ``points`` (a point joins when the
+    earlier ones miss it) and the coset minima of the subgroup they generate,
+    whose zeros are ``points`` iff ``points`` is closed."""
+    orders, gens, cm = group.orders, [], np.arange(group.cardinality)
+    while (missed := np.flatnonzero(cm[points])).size:
+        gens.append(int(points[missed[0]]))
+        cm = _joined_minima(orders, cm, _multiples(orders, gens[-1]))
+    return tuple(map(group.element_by_index, gens)), cm
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -348,10 +337,11 @@ class Subgroup:
     ``elements`` is built from the indices the first time it is read.
 
     ``generators`` always generates the subgroup: ``enumerate_subgroup``
-    keeps the ones it closed, and ``all_subgroups`` and ``from_indices`` give
-    the greedy ones.  Kernel-built subgroups (``annihilator``, adjoint,
-    separable and product lattices) are closed by construction and recover
-    the greedy generators on first read.  ``annihilator`` and
+    keeps the ones it was given, and ``all_subgroups`` and ``from_indices``
+    give the greedy ones; every one of them grows by ``_joined_minima``.
+    Kernel-built subgroups (``annihilator``, adjoint, separable and product
+    lattices) are closed by construction and recover the greedy generators
+    on first read.  ``annihilator`` and
     ``adjoint_lattice`` test membership against the generators only.
     """
 
@@ -367,15 +357,13 @@ class Subgroup:
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:
         """The greedy generators of ``from_indices``, recovered on first read."""
-        return _greedy_generators(self.group, _mask(self.group.cardinality, self.index_array))[0]
+        return _greedy_generators(self.group, self.index_array)[0]
 
     @cached_property
     def _minima(self) -> np.ndarray:
-        """cm[y], the smallest index of y + self (read-only): the doubling step joins
-        the smallest point not yet reached, so no generator has to be recovered."""
-        orders, cm = self.group.orders, np.arange(self.group.cardinality)
-        while (missed := np.flatnonzero(cm[self.index_array])).size:
-            cm = _joined_minima(orders, cm, _multiples(orders, self.index_array[missed[0]]))
+        """cm[y], the smallest index of y + self (read-only), from the greedy loop;
+        ``generators`` stays unread until asked for."""
+        cm = _greedy_generators(self.group, self.index_array)[1]
         cm.setflags(write=False)
         return cm
 
@@ -431,11 +419,11 @@ class Subgroup:
         if idx.size and (idx.min() < 0 or idx.max() >= group.cardinality):
             raise ValueError(f"element index out of range for |G| = {group.cardinality}")
         # A mask rather than np.unique, which imports numpy.ma (~1 MB) on first use.
-        given = _mask(group.cardinality, idx)
-        gens, mask = _greedy_generators(group, given)
-        if not np.array_equal(mask, given):
+        points = np.flatnonzero(_mask(group.cardinality, idx))
+        gens, cm = _greedy_generators(group, points)
+        if not np.array_equal(np.flatnonzero(cm == 0), points):
             raise ValueError("element list is not closed under the group operation")
-        return cls(group, gens, np.flatnonzero(given))
+        return cls(group, gens, points)
 
     @classmethod
     def _kernel(cls, group: FiniteLcaGroup, indices) -> "Subgroup":
@@ -456,11 +444,11 @@ def enumerate_subgroup(group: FiniteLcaGroup,
     for g in gens:
         if g.group != group:
             raise GroupShapeError(f"generator {g} does not belong to {group}")
-    mask = _mask(group.cardinality, 0)
+    cm = np.arange(group.cardinality)  # coset minima: 0 exactly on the subgroup so far
     for g in gens:
-        if not mask[g.index]:
-            mask = _close(group.orders, mask, _multiples(group.orders, g.index))
-    return Subgroup(group, gens, np.flatnonzero(mask))
+        if cm[g.index]:
+            cm = _joined_minima(group.orders, cm, _multiples(group.orders, g.index))
+    return Subgroup(group, gens, np.flatnonzero(cm == 0))
 
 
 def trivial_subgroup(group: FiniteLcaGroup) -> Subgroup:

@@ -136,10 +136,6 @@ class RationalMatrix:
         eye.__dict__["det"] = Fraction(1)  # so that products with it need no elimination
         return eye
 
-    @classmethod
-    def scalar(cls, n: int, value: RationalLike) -> "RationalMatrix":
-        return cls.from_rows([[value if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def n_rows(self) -> int:
         return len(self.entries)

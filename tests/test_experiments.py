@@ -10,7 +10,7 @@ import pytest
 
 import gabor_lca as gl
 from gabor_lca import experiments as ex
-from gabor_lca.gabor import TfLattice
+from gabor_lca.gabor import TfLattice, _adjoint_coefficients
 from gabor_lca.groups import FiniteLcaGroup
 
 
@@ -87,6 +87,21 @@ class TestWindowStabilitySweep:
             assert abs(row[2] - bounds.upper) <= 1e-12
             assert row[3] == bounds.is_frame
             assert abs(row[4] - measured) <= 1e-12
+
+    def test_bound_matches_two_term_formula(self):
+        # Oracle: the bound summed as the docstring writes it, from g' - g
+        g, delta = self.make()
+        eps_values = [0.0, 0.0025, 0.005, 0.01, 0.02, 0.04]  # the run_sweeps.py defaults
+        report = ex.window_stability_sweep(g, delta, eps_values, seed=0)
+        direction = gl.random_window(g.group, np.random.default_rng(0))
+        direction = direction * (1.0 / gl.s0_norm(direction, g))
+        adj = delta.adjoint
+        for eps, row in zip(eps_values, report.rows):
+            perturbed = g + eps * direction
+            diff = perturbed - g
+            coeffs = _adjoint_coefficients(diff, perturbed, adj) + _adjoint_coefficients(g, diff, adj)
+            bound = float(np.abs(coeffs).sum()) * (1.0 / float(delta.volume))
+            assert abs(row[5] - bound) <= 1e-12 * bound
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_eps_refused(self, bad):

@@ -27,9 +27,9 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
-    _close,
     _coset_minima,
     _greedy_generators,
+    _joined_minima,
     add_index_table,
     char_table,
     coords_matrix,
@@ -956,6 +956,10 @@ class TestIndexArithmeticOracles:
             assert fast == slow
             assert fast.base_group == slow.base_group
             assert fast.subgroup.generators == slow.subgroup.generators
+            # the route the transference harness takes: the adjoint from the factors
+            by_factors, by_scan = _product_lattice(d1.adjoint, d2.adjoint), gl.adjoint_lattice(fast)
+            assert by_factors == by_scan and by_factors.base_group == by_scan.base_group
+            assert by_factors.subgroup.generators == by_scan.subgroup.generators
 
     def test_tensor_onb_lattice_matches_point_oracle(self):
         for o1, o2 in [((2,), (3,)), ((4,), (2,)), ((2, 2), (3,))]:
@@ -1260,10 +1264,11 @@ class TestKernelSubgroups:
                     lambda: _product_lattice(delta, other).subgroup]
 
         def refuse(*args):
-            raise AssertionError("closure walk while building a kernel subgroup")
+            raise AssertionError("subgroup growth step while building a kernel subgroup")
 
-        monkeypatch.setattr("gabor_lca.groups._close", refuse)
+        monkeypatch.setattr("gabor_lca.groups._joined_minima", refuse)
         built = [build() for build in builders]
+        monkeypatch.setattr("gabor_lca.groups._joined_minima", _joined_minima)
         for build, sub in zip(builders, built):
             assert sub == build() and hash(sub) == hash(build())
             assert gl.lattice_volume(sub) * sub.order == sub.group.total_mass
@@ -1274,7 +1279,6 @@ class TestKernelSubgroups:
             assert "None" not in repr(sub) and "<on first read>" in repr(sub)
         assert [sub.order for sub in built] == [4, 8, 8, 24]
 
-        monkeypatch.setattr("gabor_lca.groups._close", _close)
         recoveries = []
 
         def counted(*args):

@@ -16,7 +16,6 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
-    _close,
     _coset_leaders,
     _coset_minima,
     _index_sum,
@@ -76,15 +75,31 @@ def assert_kernel_matches(sub, oracle):
     assert sub.generators == oracle.generators
 
 
+def _close(orders, mask, multiples):
+    """Oracle closure: membership mask of <H, x>, for the subgroup H with
+    membership ``mask`` and the ``_multiples`` row of x.
+
+    <H, x> is the union of the cosets k*x + H for k below the order m of x
+    modulo H, so it is one sum of H's indices with the first m multiples.
+    """
+    m = 1 + int(np.argmax(mask[multiples[1:]]))
+    out = np.zeros_like(mask)
+    out[_index_sum(orders, np.flatnonzero(mask)[:, None], multiples[:m])] = True
+    return out
+
+
 def count_closures(monkeypatch):
-    """Route every ``groups._close`` call through a counter; returns it."""
+    """Route every ``_close`` call through a counter; returns it.  ``src/``
+    grows subgroups only by ``groups._joined_minima``, so only the oracles
+    of this module can add to the count."""
     calls = [0]
+    close = _close
 
     def counted(*args):
         calls[0] += 1
-        return _close(*args)
+        return close(*args)
 
-    monkeypatch.setattr("gabor_lca.groups._close", counted)
+    monkeypatch.setitem(globals(), "_close", counted)
     return calls
 
 
@@ -165,8 +180,8 @@ def all_subgroups_by_add_table(group):
 def all_subgroups_by_closure(group):
     """Oracle for ``all_subgroups``: the walk it replaced, which closes <H, x>
     for every coset leader x > g_i of each H = <g_1..g_i> and keeps it when
-    no point of it outside H is below x.  It calls ``groups._close`` through
-    the module, so ``count_closures`` counts its closures."""
+    no point of it outside H is below x.  It looks ``_close`` up when it
+    runs, so ``count_closures`` counts its closures."""
     orders, card = group.orders, group.cardinality
     trivial = _mask(card, 0)
     found, stack = [], [(Subgroup(group, (), np.flatnonzero(trivial)), trivial)]
@@ -176,7 +191,7 @@ def all_subgroups_by_closure(group):
         found.append(H)
         start = H.generators[-1].index + 1 if H.generators else 1
         for x in _coset_leaders(H, np.arange(start, card)).tolist():
-            closed = groups._close(orders, mask, multiples(x))
+            closed = _close(orders, mask, multiples(x))
             if np.array_equal(closed[:x], mask[:x]):
                 gens = H.generators + (group.element_by_index(x),)
                 stack.append((Subgroup(group, gens, np.flatnonzero(closed)), closed))
