@@ -359,13 +359,14 @@ def s0_norm(f: Window, g: Window) -> float:
 def frame_operator(g: Window, h: Window, delta: TfLattice) -> np.ndarray:
     """S f = sum_{z in Delta} <f, pi(z) g> pi(z) h, as a dense matrix.
 
-    Always the sum over Delta: it is the oracle the Walnut blocks of
-    ``frame_bounds`` and ``canonical_dual`` are checked against.
+    S is zero off the cosets of Gamma_0_perp (Walnut), so its entries are
+    scattered from the Walnut blocks of ``_walnut_products``.
     """
     _check_system(delta, g, h)
-    P = _system_columns(g, *delta._split_indices)
-    Q = P if h is g else _system_columns(h, *delta._split_indices)
-    return float(g.group.weight) * (Q @ P.conj().T)
+    rows, blocks = _walnut_products(g, h, delta)
+    S = np.zeros((g.group.cardinality,) * 2, dtype=np.complex128)
+    S[rows[:, :, None], rows[:, None, :]] = blocks
+    return S
 
 
 def janssen_operator(g: Window, h: Window, delta: TfLattice,
@@ -412,13 +413,19 @@ class FrameReport:
         return cls(lower, upper, is_frame, condition)
 
 
-def _walnut_blocks(g: Window, delta: TfLattice) -> tuple[np.ndarray, np.ndarray, FrameReport]:
-    """``rows``, the blocks of S on them and their report (``TfLattice._walnut``):
-    S[rows[r]] = weight * |Gamma_0| * B_r B_r^H with B_r[a, x] = <w_x, a> g(a - x)."""
-    _check_system(delta, g)
+def _walnut_products(g: Window, h: Window, delta: TfLattice) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and the blocks of S_{g,h} on them (``TfLattice._walnut``):
+    S[rows[r]] = weight * |Gamma_0| * B_r(h) B_r(g)^H, B_r[a, x] = <w_x, a> g(a - x)."""
     x_idx, w_idx, gamma0, rows = delta._walnut
     B = _system_columns(g, x_idx, w_idx)[rows]
-    S = (float(g.group.weight) * gamma0) * (B @ B.conj().swapaxes(1, 2))
+    C = B if h is g else _system_columns(h, x_idx, w_idx)[rows]
+    return rows, (float(g.group.weight) * gamma0) * (C @ B.conj().swapaxes(1, 2))
+
+
+def _walnut_blocks(g: Window, delta: TfLattice) -> tuple[np.ndarray, np.ndarray, FrameReport]:
+    """``rows``, the blocks of S_{g,g} on them (``_walnut_products``), their report."""
+    _check_system(delta, g)
+    rows, S = _walnut_products(g, g, delta)
     eigs = np.linalg.eigvalsh(S)
     return rows, S, FrameReport.from_bounds(float(eigs.min()), float(eigs.max()))
 
@@ -531,7 +538,7 @@ def _product_lattice(delta1: TfLattice, delta2: TfLattice) -> TfLattice:
 
 @dataclass(frozen=True)
 class TransferenceResult:
-    """Both sides of the dual-pair equivalence, each checked by brute force."""
+    """Both sides of the dual-pair equivalence and their residuals."""
 
     base_is_dual_pair: bool
     base_residual: float
@@ -571,8 +578,9 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     delta1 x (K x K_perp), the biorthogonality <g~, pi(z) h~> =
     vol(delta1) * [base part of z is 0] holds across the product adjoint.
     The indicator inner products collapse the product condition onto the base
-    one, so the two verdicts agree.  The base side keeps the dense
-    ``frame_operator`` on purpose: this is a brute-force harness.
+    one, so the two verdicts agree.  The base side is ``frame_operator``,
+    scattered from its Walnut blocks; the product side is the independent
+    adjoint-coefficient route.
     """
     _check_system(delta1, g, h)
     _, K, K_perp = compact_open_surrogate(M, d)

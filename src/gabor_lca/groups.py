@@ -221,14 +221,30 @@ def coords_matrix(orders: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _orders_array(orders: tuple[int, ...]) -> np.ndarray:
+    """The orders as a read-only int64 array."""
+    out = np.array(orders, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair_scale(orders: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """N / n_k per coordinate (read-only) and N = lcm(orders)."""
+    N = math.lcm(*orders)
+    scale = np.array([N // n for n in orders], dtype=np.int64)
+    scale.setflags(write=False)
+    return scale, N
+
+
 def _pair_exponents(orders: tuple[int, ...], a, b) -> tuple[np.ndarray, int]:
     """Exact int64 pairing exponents of two stacks of coordinate rows.
 
     E[i, j] = sum_k a[i, k] b[j, k] (N / n_k) mod N with N = lcm(orders), so
     <a_i, b_j> = exp(2*pi*i*E[i, j]/N); either stack may hold the characters.
     """
-    N = math.lcm(*orders)
-    scale = np.array([N // n for n in orders], dtype=np.int64)
+    scale, N = _pair_scale(orders)
     a, b = (np.asarray(r, dtype=np.int64).reshape(-1, len(orders)) for r in (a, b))
     return (a * scale) @ b.T % N, N
 
@@ -250,7 +266,7 @@ def _annihilated(orders: tuple[int, ...], rows) -> np.ndarray:
 def _index_sum(orders: tuple[int, ...], a, b, sign: int = 1) -> np.ndarray:
     """Index of a + sign * b, elementwise over broadcastable index arrays."""
     C = coords_matrix(orders)
-    return (C[a] + sign * C[b]) % np.array(orders) @ _row_major_strides(orders)
+    return (C[a] + sign * C[b]) % _orders_array(orders) @ _row_major_strides(orders)
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +312,8 @@ def _multiples(orders: tuple[int, ...], xs) -> np.ndarray:
     """Indices of k*x for k = 0..exp(G), one row per index x in ``xs`` (one for a
     scalar), in the smallest dtype that holds an index."""
     k = np.arange(math.lcm(*orders) + 1)[:, None]
-    out = k * coords_matrix(orders)[xs][..., None, :] % np.array(orders) @ _row_major_strides(orders)
+    out = (k * coords_matrix(orders)[xs][..., None, :] % _orders_array(orders)
+           @ _row_major_strides(orders))
     return out.astype(np.min_scalar_type(math.prod(orders)))
 
 

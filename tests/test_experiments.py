@@ -12,6 +12,7 @@ import gabor_lca as gl
 from gabor_lca import experiments as ex
 from gabor_lca.gabor import TfLattice, _adjoint_coefficients
 from gabor_lca.groups import FiniteLcaGroup
+from test_gabor import frame_operator_by_columns
 
 
 class TestPeriodizedGaussian:
@@ -72,17 +73,18 @@ class TestWindowStabilitySweep:
 
     def test_rows_match_separate_frame_bounds_and_operator(self):
         # Oracle: the route that assembled S twice per grid point, once in
-        # frame_bounds and once, unsymmetrized, through frame_operator.
+        # frame_bounds and once, unsymmetrized, as the column sum over Delta.
         g, delta = self.make()
         eps_values = [0.0, 0.01, 0.02]
         report = ex.window_stability_sweep(g, delta, eps_values, seed=4)
         direction = gl.random_window(g.group, np.random.default_rng(4))
         direction = direction * (1.0 / gl.s0_norm(direction, g))
-        S_base = gl.frame_operator(g, g, delta)
+        S_base = frame_operator_by_columns(g, g, delta)
         for eps, row in zip(eps_values, report.rows):
             perturbed = g + eps * direction
             bounds = gl.frame_bounds(perturbed, delta)
-            measured = np.linalg.norm(gl.frame_operator(perturbed, perturbed, delta) - S_base, 2)
+            measured = np.linalg.norm(
+                frame_operator_by_columns(perturbed, perturbed, delta) - S_base, 2)
             assert abs(row[1] - bounds.lower) <= 1e-12
             assert abs(row[2] - bounds.upper) <= 1e-12
             assert row[3] == bounds.is_frame

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from gabor_lca.groups import (
     add_index_table,
     char_table,
     coords_matrix,
+    pair_exponent_table,
     pairing_exponent,
     sub_index_table,
 )
@@ -485,6 +487,23 @@ class TestFrameOperator:
             P = np.column_stack([
                 gl.tf_shift_plane(z, Window(G, np.eye(6)[:, j])).values for j in range(6)])
             assert np.max(np.abs(S @ P - P @ S)) < 1e-10
+
+    def test_full_plane_memory_is_the_diagonal(self):
+        """On the Z64 full plane Gamma_0_perp = {0}, so S is 64 blocks of size 1;
+        the sum over Delta's 4,096 columns peaks at 14 MB."""
+        G = Z(64)
+        rng = rng_for(16)
+        g, h = gl.random_window(G, rng), gl.random_window(G, rng)
+        delta = TfLattice.full_plane(G)
+        gl.frame_operator(g, h, delta)  # the lattice's Walnut structure and G's tables
+        tracemalloc.start()
+        try:
+            S = gl.frame_operator(g, h, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(S - np.diag(np.diag(S))) == 0
+        assert peak < 2**20
 
     def test_bilinearity(self):
         G = Z(5)
@@ -1045,9 +1064,17 @@ class TestFftRouteOracles:
             assert np.max(np.abs(gl.stft(f, g) - stft_by_dense_product(f, g))) <= 1e-12
 
 
+def frame_operator_by_columns(g, h, delta):
+    """Oracle: S = weight * Q P^H, the sum over Delta of the columns
+    P[:, z] = pi(z) g and Q[:, z] = pi(z) h."""
+    P = _system_columns(g, *delta._split_indices)
+    Q = P if h is g else _system_columns(h, *delta._split_indices)
+    return float(g.group.weight) * (Q @ P.conj().T)
+
+
 def symmetrized_delta_side(g, delta):
     """Oracle: the dense sum over Delta, symmetrized for eigvalsh and solve."""
-    S = gl.frame_operator(g, g, delta)
+    S = frame_operator_by_columns(g, g, delta)
     return 0.5 * (S + S.conj().T)
 
 
@@ -1101,7 +1128,7 @@ class TestWalnutBlocks:
         split = 0
         for g, delta in self.cases():
             full, covered = scattered_walnut_blocks(g, delta)
-            dense = gl.frame_operator(g, g, delta)
+            dense = frame_operator_by_columns(g, g, delta)
             assert np.max(np.abs(full - dense)) <= 1e-10
             if not covered.all():
                 split += 1
@@ -1117,7 +1144,23 @@ class TestWalnutBlocks:
             g = gl.random_window(G, rng)
             full, covered = scattered_walnut_blocks(g, delta)
             assert covered.all()
-            assert np.max(np.abs(full - gl.frame_operator(g, g, delta))) <= 1e-10
+            assert np.max(np.abs(full - frame_operator_by_columns(g, g, delta))) <= 1e-10
+
+    def test_frame_operator_matches_column_oracle(self):
+        """S_{g,h} with g != h, and exactly 0 where a - b is outside Gamma_0_perp."""
+        rng = rng_for(59)
+        triples = [t for seed in range(4) for t in seeded_janssen_instances(60, seed=seed)]
+        for G in (Z(64), Z(8, 8)):
+            triples.append((gl.random_window(G, rng), gl.random_window(G, rng),
+                            TfLattice.full_plane(G)))
+        for g, h, delta in triples:
+            S = gl.frame_operator(g, h, delta)
+            oracle = frame_operator_by_columns(g, h, delta)
+            assert np.max(np.abs(S - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            orders = g.group.orders
+            gamma0 = delta.w_indices[delta.x_indices == 0]
+            perp = ~pair_exponent_table(orders)[gamma0].any(axis=0)
+            assert not S[~perp[sub_index_table(orders)]].any()
 
     def test_structure_is_computed_on_first_use(self):
         G = Z(8)
@@ -1146,7 +1189,7 @@ class TestSmallerSideRoute:
     def test_matches_delta_side_oracle(self):
         for g, delta in self.cases():
             rows, S, _ = _walnut_blocks(g, delta)
-            dense = gl.frame_operator(g, g, delta)
+            dense = frame_operator_by_columns(g, g, delta)
             assert np.max(np.abs(S - dense[rows[:, :, None], rows[:, None, :]])) <= 1e-10
             oracle = symmetrized_delta_side(g, delta)
             eigs = np.linalg.eigvalsh(oracle)
