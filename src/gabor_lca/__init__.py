@@ -32,7 +32,7 @@ _EXPORTS = {name: (module, name) for module, names in (
         "ZakGrid", "min_modulus", "plane_quadratic_mass", "quasiperiodicity_residual",
         "zak_frame_bounds", "zak_transform")),
     ("padic", (
-        "NotPrimeError", "PadicScalar", "Place", "RationalMatrix", "SingularMatrixError",
+        "NotPrimeError", "Place", "RationalMatrix", "SingularMatrixError",
         "certify_prime", "in_gl_n_zp", "local_modular", "padic_abs", "valuation")),
     ("adeles", (
         "AdeleAutomorphism", "AdeleLattice", "AdeleVector", "BalianLowVerdict",

@@ -11,7 +11,9 @@ load it, inside the functions that need them.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -452,7 +454,8 @@ def deformation_margin(lattice: AdeleLattice) -> float:
 
     For a lattice of volume v <= 1 in the 2n-dimensional plane the margin is
     (1/v)^(1/(2n)) - 1; it vanishes exactly at critical volume, which is the
-    arithmetic engine of the Balian-Low argument.
+    arithmetic engine of the Balian-Low argument.  A margin past the float
+    range raises ``ValueError``.
     """
     if lattice.dim % 2 != 0:
         raise ValueError("deformation margin needs a lattice in a 2n-dimensional plane")
@@ -461,7 +464,14 @@ def deformation_margin(lattice: AdeleLattice) -> float:
         raise VolumeAboveOneError(f"lattice volume {vol} exceeds 1")
     if vol == 1:
         return 0.0
-    return float(1 / Fraction(vol)) ** (1.0 / lattice.dim) - 1.0
+    inverse = 1 / Fraction(vol)
+    if inverse <= sys.float_info.max:
+        return float(inverse) ** (1.0 / lattice.dim) - 1.0
+    # 1/v is past the float range: take the root in logarithms of its integers
+    log_root = (math.log(inverse.numerator) - math.log(inverse.denominator)) / lattice.dim
+    if log_root > math.log(sys.float_info.max):
+        raise ValueError(f"deformation margin exp({log_root:.6g}) - 1 is past the float range")
+    return math.exp(log_root) - 1.0
 
 
 # --- automorphism documents ---------------------------------------------------

@@ -561,6 +561,8 @@ def compact_open_surrogate(M: int, d: int) -> tuple[FiniteLcaGroup, Subgroup, Su
     field: Z/M plays a two-sided truncation of Q_p and K its unit ball, with
     Haar measure normalized so the ball has mass 1.
     """
+    if M < 1:
+        raise ValueError(f"M = {M} must be at least 1")
     if d <= 0 or M % d != 0:
         raise ValueError(f"d = {d} must be a positive divisor of M = {M}")
     H = FiniteLcaGroup((M,), Fraction(d, M))

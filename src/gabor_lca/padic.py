@@ -92,27 +92,6 @@ def padic_abs(q: RationalLike, p: int) -> Fraction:
     return Fraction(1, p ** v) if v >= 0 else Fraction(p ** (-v))
 
 
-@dataclass(frozen=True)
-class PadicScalar:
-    """An exact rational viewed inside Q_p for a fixed finite place."""
-
-    value: Fraction
-    prime: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-        object.__setattr__(self, "prime", certify_prime(self.prime))
-
-    def valuation(self) -> int | float:
-        return valuation(self.value, self.prime)
-
-    def abs_value(self) -> Fraction:
-        return padic_abs(self.value, self.prime)
-
-    def is_integral(self) -> bool:
-        return self.valuation() >= 0
-
-
 @dataclass(frozen=True, eq=True)
 class RationalMatrix:
     """Dense matrix of exact rationals with the handful of operations needed

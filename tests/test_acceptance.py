@@ -14,12 +14,12 @@ from gabor_lca.adeles import (
     AdeleAutomorphism,
     AdeleLattice,
     PlaceSet,
-    compact_open_surrogate,
     finite_transference_check,
 )
 from gabor_lca.gabor import TfLattice, Window
-from gabor_lca.groups import FiniteLcaGroup, char_table
+from gabor_lca.groups import FiniteLcaGroup
 from gabor_lca.padic import RationalMatrix
+from oracles import base_side_by_vectors, product_side_by_plane_scan, shapes_up_to
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -52,22 +52,8 @@ def test_criterion_02_adjoint_cardinality_z6_plane():
                   f"of the Z6 plane in {elapsed:.2f}s (< 5s)")
 
 
-def _multiplicative_partitions(n, min_factor=2):
-    if n == 1:
-        yield ()
-        return
-    f = min_factor
-    while f <= n:
-        if n % f == 0:
-            for rest in _multiplicative_partitions(n // f, f):
-                yield (f,) + rest
-        f += 1
-
-
 def test_criterion_03_volume_duality_exact():
-    shapes = [(1,)]
-    for n in range(2, 65):
-        shapes.extend(_multiplicative_partitions(n))
+    shapes = shapes_up_to(64)
     t0 = time.perf_counter()
     checked = 0
     for orders in shapes:
@@ -218,64 +204,6 @@ def test_criterion_09_padic_adelic_arithmetic():
                   "S={3}, A_inf=A_3=3 has modular value exactly 1 and fixes the lattice")
 
 
-def _oracle_base_side(g, h, delta1, tol):
-    """Reconstruction check vector-by-vector (independent of frame_operator)."""
-    G = g.group
-    card = G.cardinality
-    worst = 0.0
-    for j in range(card):
-        e = np.zeros(card, dtype=complex)
-        e[j] = 1.0
-        f = Window(G, e)
-        out = np.zeros(card, dtype=complex)
-        for z in delta1.elements:
-            shifted_g = gl.tf_shift_plane(z, g)
-            shifted_h = gl.tf_shift_plane(z, h)
-            out += f.inner(shifted_g) * shifted_h.values
-        worst = max(worst, float(np.max(np.abs(out - e))))
-    return worst <= tol
-
-
-def _oracle_product_side(g, h, delta1, M, d, tol):
-    """Full-plane scan: batch STFT plus a complex-arithmetic commutant mask,
-    fully independent of the exact-integer adjoint computation."""
-    base = g.group
-    H, K, K_perp = compact_open_surrogate(M, d)
-    one_k = gl.indicator_window(K)
-    product = FiniteLcaGroup(base.orders + H.orders, base.weight * H.weight)
-    g_t = Window(product, np.kron(g.values, one_k.values))
-    h_t = Window(product, np.kron(h.values, one_k.values))
-    card = product.cardinality
-    CHI = char_table(product.orders)
-    # commutant of the product lattice, from its generators
-    gen_pairs = []
-    k = base.rank
-    for zgen in delta1.subgroup.generators:
-        x = zgen.coords[:k] + (0,)
-        w = zgen.coords[k:] + (0,)
-        gen_pairs.append((x, w))
-    gen_pairs.append(((0,) * k + (d % M,), (0,) * (k + 1)))
-    gen_pairs.append(((0,) * (k + 1), (0,) * k + ((M // d) % M,)))
-    mask = np.ones((card, card), dtype=bool)
-    for (y, tau) in gen_pairs:
-        y_idx = product.element(y).index
-        tau_idx = product.element(tau).index
-        defect = CHI[tau_idx, :][:, None] * np.conj(CHI[:, y_idx])[None, :]
-        mask &= np.abs(defect - 1.0) < 1e-9
-    V = gl.stft(g_t, h_t)  # V[x, w] = <g_t, pi(x, w) h_t>
-    vol = float(delta1.volume)
-    coords = gl.groups.coords_matrix(product.orders)
-    base_zero_x = ~coords[:, :k].any(axis=1)
-    worst = 0.0
-    for x_idx in range(card):
-        for w_idx in range(card):
-            if not mask[x_idx, w_idx]:
-                continue
-            target = vol if (base_zero_x[x_idx] and base_zero_x[w_idx]) else 0.0
-            worst = max(worst, abs(V[x_idx, w_idx] - target))
-    return worst <= tol
-
-
 def test_criterion_10_transference_exhaustive():
     t0 = time.perf_counter()
     tol = 1e-9
@@ -302,8 +230,8 @@ def test_criterion_10_transference_exhaustive():
                     continue
                 for g, h, delta1 in cases:
                     result = finite_transference_check(g, h, delta1, M, d, tol=tol)
-                    assert result.base_is_dual_pair == _oracle_base_side(g, h, delta1, tol)
-                    assert result.product_is_dual_pair == _oracle_product_side(
+                    assert result.base_is_dual_pair == base_side_by_vectors(g, h, delta1, tol)
+                    assert result.product_is_dual_pair == product_side_by_plane_scan(
                         g, h, delta1, M, d, tol)
                     assert result.equivalent
                     instances += 1

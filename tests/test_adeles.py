@@ -22,48 +22,17 @@ from gabor_lca.adeles import (
 )
 from gabor_lca.experiments import random_plane_lattice
 from gabor_lca.gabor import TfLattice, Window, _adjoint_coefficients, _product_lattice
-from gabor_lca.groups import FiniteLcaGroup, Subgroup, coords_matrix
+from gabor_lca.groups import FiniteLcaGroup, coords_matrix
 from gabor_lca.padic import RationalMatrix
+from oracles import (
+    lattice_equality_by_inverse,
+    product_residual_by_shifts,
+    transference_lattice_by_points,
+)
 
 
 def rmat(rows):
     return RationalMatrix.from_rows(rows)
-
-
-def product_residual_by_shifts(g, h, delta1, M, d):
-    """Oracle for the product side of the transference check: the product
-    lattice built point by point and <g~, pi(z) h~> one shifted window at a
-    time across its adjoint."""
-    base = g.group
-    k = base.rank
-    H, K, K_perp = compact_open_surrogate(M, d)
-    one_k = gl.indicator_window(K)
-    product = FiniteLcaGroup(base.orders + H.orders, base.weight * H.weight)
-    g_t = Window(product, np.kron(g.values, one_k.values))
-    h_t = Window(product, np.kron(h.values, one_k.values))
-    plane = product.plane()
-    elems = [plane.element(z1.coords[:k] + x2.coords + z1.coords[k:] + w2.coords)
-             for z1 in delta1.elements for x2 in K.elements for w2 in K_perp.elements]
-    lattice = TfLattice(product, Subgroup.from_elements(plane, elems))
-    kappa = float(delta1.volume)
-    residual = 0.0
-    for z in gl.adjoint_lattice(lattice).elements:
-        base_zero = not any(z.coords[:k]) and not any(z.coords[k + 1:2 * k + 1])
-        target = kappa if base_zero else 0.0
-        residual = max(residual, abs(g_t.inner(gl.tf_shift_plane(z, h_t)) - target))
-    return residual
-
-
-def transference_lattice_by_points(delta1, M, d):
-    """Oracle: the product lattice delta1 x (K x K_perp), point by point."""
-    base = delta1.base_group
-    k = base.rank
-    H, K, K_perp = compact_open_surrogate(M, d)
-    product = FiniteLcaGroup(base.orders + H.orders, base.weight * H.weight)
-    plane = product.plane()
-    elems = [plane.element(z1.coords[:k] + x2.coords + z1.coords[k:] + w2.coords)
-             for z1 in delta1.elements for x2 in K.elements for w2 in K_perp.elements]
-    return TfLattice(product, Subgroup.from_elements(plane, elems))
 
 
 def scalar_auto(place_set, inf, **finite):
@@ -346,19 +315,6 @@ def _prime_support(q: Fraction):
     return out
 
 
-def lattice_equality_by_inverse(a, b):
-    """Oracle: compose A1^{-1} with A2 at every place, then test that the
-    common component R lies in GL_n(Z(S))."""
-    if a.dim != b.dim:
-        return False
-    m = a.automorphism.inverse().compose(b.automorphism)
-    r = m._exact_a_inf()
-    if any(m.component(p) != r for p in a.place_set):
-        return False
-    return adeles._in_z_s(1 / r.det, a.place_set) and all(
-        adeles._in_z_s(v, a.place_set) for row in r.entries for v in row)
-
-
 def generator_oracle_cases():
     """The 100 seeded pairs of ``test_agrees_with_generator_membership_oracle``."""
     rng = np.random.default_rng(2024)
@@ -484,6 +440,20 @@ class TestDeformationMargin:
         auto = AdeleAutomorphism(S, rmat([[1]]))
         with pytest.raises(ValueError):
             adeles.deformation_margin(AdeleLattice(auto))
+
+    def test_inverse_volume_past_the_float_range(self):
+        """(1/v)^(1/dim) - 1 from logarithms when 1/v is no float; refused
+        when the margin is none either."""
+        S = PlaceSet(())
+        for dim, exponent, margin in [(2, 400, 1e200), (4, 400, 1e100), (2, 700, None)]:
+            rows = [[Fraction(1, 10 ** exponent) if i == j == 0 else int(i == j)
+                     for j in range(dim)] for i in range(dim)]
+            lattice = AdeleLattice(AdeleAutomorphism(S, rmat(rows)))
+            if margin is None:
+                with pytest.raises(ValueError, match="float range"):
+                    adeles.deformation_margin(lattice)
+            else:
+                assert adeles.deformation_margin(lattice) == pytest.approx(margin, rel=1e-12)
 
 
 class TestCompactOpenSurrogate:

@@ -15,6 +15,23 @@ from hypothesis import strategies as st
 import gabor_lca
 from gabor_lca import adeles, cli, gabor
 from gabor_lca.groups import FiniteLcaGroup
+from oracles import (
+    AUTO,
+    AUTO_REBASED,
+    FUZZ_DOCUMENTS,
+    FUZZ_EPS,
+    FUZZ_FILES,
+    FUZZ_FORMATS,
+    FUZZ_GROUPS,
+    FUZZ_LATTICES,
+    FUZZ_N_LISTS,
+    FUZZ_NUMBERS,
+    FUZZ_RATIONALS,
+    FUZZ_SPECS,
+    FUZZ_SUBGROUPS,
+    FUZZ_VECTORS,
+    FUZZ_WINDOWS,
+)
 
 
 def run(capsys, *argv):
@@ -216,6 +233,20 @@ class TestPadicAndAdeleCommands:
         code, _, err = run(capsys, "deform-margin", "--file", str(path))
         assert code == 2
 
+    def test_deform_margin_past_the_float_range(self, capsys, tmp_path):
+        """1/vol = 10^400 is no float, its square root is; 10^350 has none."""
+        for exponent, margin in [(400, 1e200), (700, None)]:
+            path = tmp_path / f"tiny{exponent}.txt"
+            path.write_text(f"S =\nAinf = [[1/{10 ** exponent}, 0], [0, 1]]\n",
+                            encoding="utf-8")
+            code, out, err = run(capsys, "deform-margin", "--file", str(path))
+            if margin is None:
+                assert code == 2 and out == "" and err.startswith("error:")
+                assert "float range" in err and "Traceback" not in err
+            else:
+                assert code == 0
+                assert json.loads(out)["margin"] == pytest.approx(margin, rel=1e-12)
+
 
 class TestSweepCommands:
     def test_sweep_window_csv(self, capsys):
@@ -295,6 +326,12 @@ class TestRefusedInputs:
                              "values=(1e308,0),(1e308,0),(0,0),(0,0)", "--lattice", "time-axis")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "norm" in err and "Traceback" not in err
+
+    def test_transference_modulus_below_one(self, capsys):
+        argv = ["transference-check", "--group", "Z4", "--window", "delta0",
+                "--dual-window", "delta0", "--lattice", "time-axis", "--M", "0", "--d", "1"]
+        self.assert_refused(capsys, *argv)
+        assert "M = 0" in run(capsys, *argv)[2]
 
     def test_max_card_below_catalog(self, capsys):
         code, out, err = run(capsys, "janssen-check", "--max-card", "1")
@@ -484,11 +521,6 @@ def fresh_python(code: str, *args: str, cwd=None) -> str:
     return done.stdout
 
 
-#: The README's automorphism file, and that file times [[1, 1], [0, 1]].
-AUTO = "S = 2,3\nAinf = [[1/2, 0], [0, 2]]\nA2 = [[2, 0], [0, 1]]\n"
-AUTO_REBASED = ("S = 2,3\nAinf = [[1/2, 1/2], [0, 2]]\nA2 = [[2, 2], [0, 1]]\n"
-                "A3 = [[1, 1], [0, 1]]\n")
-
 #: (argv, exit code, stdout) of the exact subcommands and two exact refusals.
 EXACT_RUNS = [
     (["padic-abs", "12", "2"], 0, "1/4\n"),
@@ -538,9 +570,8 @@ EAGER_EXPORTS = {
               "tensor_onb", "tf_shift", "tf_shift_plane", "wexler_raz_check"],
     "zak": ["ZakGrid", "min_modulus", "plane_quadratic_mass", "quasiperiodicity_residual",
             "zak_frame_bounds", "zak_transform"],
-    "padic": ["NotPrimeError", "PadicScalar", "Place", "RationalMatrix",
-              "SingularMatrixError", "certify_prime", "in_gl_n_zp", "local_modular",
-              "padic_abs", "valuation"],
+    "padic": ["NotPrimeError", "Place", "RationalMatrix", "SingularMatrixError",
+              "certify_prime", "in_gl_n_zp", "local_modular", "padic_abs", "valuation"],
     "adeles": ["AdeleAutomorphism", "AdeleLattice", "AdeleVector", "BalianLowVerdict",
                "ModularValue", "PlaceSet", "balian_low_classifier", "deformation_margin",
                "finite_transference_check", "global_modular", "lattice_equality",
@@ -606,40 +637,6 @@ class TestLazyPackage:
         monkeypatch.undo()
         assert gabor_lca.frame_bounds is gabor.frame_bounds is not swapped_bounds
 
-
-#: Grammar pieces of the argv fuzz: each option draws from its own pool, with
-#: valid literals next to malformed ones.  Groups have at most 16 points and
-#: counts are at most 20, so that no example runs for long.
-FUZZ_GROUPS = ["Z1", "Z2", "Z3", "Z4", "Z6", "Z8", "Z16", "Z2xZ2", "Z2xZ4",
-               "G4", "Z0", "Z4x", "z4", ""]
-FUZZ_WINDOWS = ["delta0", "gauss", "const", "values=(1,0),(0,0)",
-                "values=(1,0),(0,0),(0,0),(0,0)", "values=(1),(0)",
-                "values=(nan,0),(0,0)", "values=(1e308,0),(1e308,0)", "values=", "square",
-                "values=(1,0)junk(0,0),(0,0),(0,0)", "values=(1,,0),(0,0)", "values=(1,0)(0,0)"]
-FUZZ_LATTICES = ["time-axis", "frequency-axis", "full-plane", "separable:gens=(2)",
-                 "separable:gens=(1,0)", "separable:gens=", "plane-gens=((2),(0));((0),(2))",
-                 "plane-gens=((1,0))", "plane-gens=((1,1),(0,1))", "plane-gens=(())",
-                 "plane-gens=((1),(0)", "plane-gens=((x),(0))", "plane-gens=", "lattice",
-                 "separable:gens=(2)banana", "plane-gens=((1),(0))((0),(1))"]
-FUZZ_SUBGROUPS = ["gens=(2)", "gens=(1,0)", "gens=(0,2)", "gens=", "gens=(2", "gens=(a)", "4",
-                  "gens=(2)junk(1)", "gens=(2),", "gens=((2))", "gens=(1,,0)"]
-FUZZ_NUMBERS = ["0", "1", "2", "3", "4", "8", "20", "-1", "0.5", "1e-9", "nan", "inf", "x", ""]
-FUZZ_RATIONALS = ["12", "5/2", "-3/4", "0", "1/0", "x", ""]
-FUZZ_SPECS = ["A_Q{S=2,3; n=2}", "A_Q{S=2; n=1}", "Q_S{S=2; n=1}", "A_Q{S=4;n=1}",
-              "A_Q{S=; n=1}", "A_Q{S=2; n=0}", "R^2", "Z4", "{", "", "A_Q{S=2,,3; n=2}"]
-FUZZ_VECTORS = ["diag=(5/2,1)", "diag=(5/2)", "diag=(1/0,1)", "inf=(1,0); 2=(1,0)",
-                "inf=(1,0); 2=(1,0); 2=(0,1)", "inf=(1,2); 5=(1,2)", "2=(1,0)", "diag=(x,1)",
-                "diag=(5/2,1)junk", "diag=((5/2,1))", "diag=(5/2,,1)", "diag=", "diag=(5/2),(1)"]
-FUZZ_DOCUMENTS = {"auto.txt": AUTO, "rebased.txt": AUTO_REBASED,
-                  "zero.txt": "S = 2\nAinf = [[1/0]]\n",
-                  "big.txt": "S =\nAinf = [[2, 0], [0, 1]]\n",
-                  "junk.txt": "Ainf = [[1, 2]\n", "empty.txt": "",
-                  "unread.txt": "S = 2,3\nAinf = [[1/2, 0]junk[0, 2]]\n",
-                  "blank.txt": "S = 2,3\nAinf = [[1/2, 0], [0, 2]]\nA2 = [[2,, 0], [0, 1]]\n"}
-FUZZ_FILES = sorted(FUZZ_DOCUMENTS) + ["missing.txt"]
-FUZZ_EPS = ["0,0.01,0.02", "0", "0.02,0.01", "0,inf", "nan", ",", "x", "0,,0.01"]
-FUZZ_N_LISTS = ["2", "2,3", "3,2", "2,2", "1", ",", "x", "2,3,"]
-FUZZ_FORMATS = ["csv", "json", "xml"]
 
 #: Subcommand -> (option or None for a positional, pool or None for a flag).
 FUZZ_COMMANDS = {

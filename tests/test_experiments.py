@@ -12,7 +12,7 @@ import gabor_lca as gl
 from gabor_lca import experiments as ex
 from gabor_lca.gabor import TfLattice, _adjoint_coefficients
 from gabor_lca.groups import FiniteLcaGroup
-from test_gabor import frame_operator_by_columns
+from oracles import frame_operator_by_columns
 
 
 class TestPeriodizedGaussian:

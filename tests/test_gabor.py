@@ -33,10 +33,24 @@ from gabor_lca.groups import (
     _joined_minima,
     add_index_table,
     char_table,
-    coords_matrix,
     pair_exponent_table,
-    pairing_exponent,
     sub_index_table,
+)
+from oracles import (
+    Z,
+    adjoint_full_scan,
+    assert_kernel_matches,
+    coefficients_by_shifts,
+    commutation_exponent_by_coords,
+    frame_operator_by_columns,
+    lift_defect_by_elements,
+    product_by_points,
+    product_indices_by_points,
+    push_by_characters,
+    quotient_defect_by_elements,
+    separable_by_points,
+    symmetrized_delta_side,
+    wexler_raz_residual_by_shifts,
 )
 
 
@@ -44,187 +58,8 @@ def rng_for(seed=0):
     return np.random.default_rng(seed)
 
 
-def Z(n, *rest):
-    return FiniteLcaGroup((n,) + tuple(rest))
-
-
 def identity_defect(S):
     return float(np.max(np.abs(S - np.eye(S.shape[0]))))
-
-
-def adjoint_full_scan(delta):
-    """Oracle: every plane point tested against every element of Delta."""
-    base = delta.base_group
-    plane = base.plane()
-    C = coords_matrix(plane.orders)
-    S = C[delta.subgroup.index_array]
-    k = base.rank
-    N = base.exponent
-    scale = np.array([N // n for n in base.orders], dtype=np.int64)
-    X, W = C[:, :k], C[:, k:]
-    Y, T = S[:, :k], S[:, k:]
-    E = (X @ (T * scale).T - W @ (Y * scale).T) % N
-    hits = np.nonzero(~E.any(axis=1))[0]
-    elems = [plane.element_by_index(int(i)) for i in hits]
-    return TfLattice(base, Subgroup.from_elements(plane, elems))
-
-
-def coefficients_by_shifts(g, h, adj):
-    """Oracle: <g, pi(z) h> one shifted window at a time."""
-    return np.array([g.inner(gl.tf_shift_plane(z, h)) for z in adj.elements])
-
-
-def wexler_raz_residual_by_shifts(g, h, delta):
-    kappa = float(delta.volume)
-    residual = 0.0
-    for z in gl.adjoint_lattice(delta).elements:
-        target = kappa if z.is_zero() else 0.0
-        residual = max(residual, abs(g.inner(gl.tf_shift_plane(z, h)) - target))
-    return residual
-
-
-def product_by_points(delta1, delta2):
-    """Oracle for the product-lattice helper: delta1 x delta2 point by point."""
-    grp1, grp2 = delta1.base_group, delta2.base_group
-    product = FiniteLcaGroup(grp1.orders + grp2.orders, grp1.weight * grp2.weight)
-    plane = product.plane()
-    elems = []
-    for z1 in delta1.elements:
-        x1, w1 = z1.coords[:grp1.rank], z1.coords[grp1.rank:]
-        for z2 in delta2.elements:
-            x2, w2 = z2.coords[:grp2.rank], z2.coords[grp2.rank:]
-            elems.append(plane.element(x1 + x2 + w1 + w2))
-    return TfLattice(product, Subgroup.from_elements(plane, elems))
-
-
-def separable_by_points(lam, dual_part):
-    """Oracle for ``TfLattice.separable``: Lambda x dual_part point by point."""
-    plane = lam.group.plane()
-    elems = [plane.element(x.coords + w.coords)
-             for x in lam.elements for w in dual_part.elements]
-    return TfLattice(lam.group, Subgroup.from_elements(plane, elems))
-
-
-def product_indices_by_points(delta1, delta2):
-    """Oracle: plane indices of delta1 x delta2, delta1-major and so unsorted."""
-    grp1, grp2 = delta1.base_group, delta2.base_group
-    plane = FiniteLcaGroup(grp1.orders + grp2.orders).plane()
-    k1, k2 = grp1.rank, grp2.rank
-    return [plane.element(z1.coords[:k1] + z2.coords[:k2] + z1.coords[k1:] + z2.coords[k2:]).index
-            for z1 in delta1.elements for z2 in delta2.elements]
-
-
-def assert_kernel_matches(sub, oracle):
-    """A kernel-built subgroup equals its ``from_indices`` oracle exactly: the
-    same sorted, unique index array, and the same greedy generators, which it
-    recovers only when they are read."""
-    assert "generators" not in vars(sub)
-    assert sub.group == oracle.group
-    assert np.all(np.diff(sub.index_array) > 0)
-    assert np.array_equal(sub.index_array, oracle.index_array)
-    assert sub.generators == oracle.generators
-
-
-def commutation_exponent_by_coords(z, w):
-    """Oracle: the exact commutation exponent summed one coordinate at a time."""
-    k = len(z.coords) // 2
-    x, omega = z.coords[:k], z.coords[k:]
-    y, tau = w.coords[:k], w.coords[k:]
-    grp = z.group
-    N = grp.exponent
-    e = 0
-    for i in range(k):
-        n = grp.orders[i]
-        e += (tau[i] * x[i] - omega[i] * y[i]) * (N // n)
-    return e % N, N
-
-
-def push_by_characters(group, finite_sub, lam, quot_vals, tol):
-    """Oracle for ``push_finite_subgroup``: the quotient Fourier transform
-    taken one character and one coset representative at a time."""
-    reps = gl.coset_transversal(group, finite_sub)
-    f_perp = gl.annihilator(finite_sub)
-    fhat = np.zeros(f_perp.order, dtype=np.complex128)
-    for j, ch in enumerate(f_perp.elements):
-        acc = 0.0 + 0.0j
-        for i, rep in enumerate(reps):
-            e, N = pairing_exponent(ch, rep)
-            acc += quot_vals[i] * np.exp(-2j * np.pi * (e / N))
-        fhat[j] = acc
-    fhat *= math.sqrt(finite_sub.order)
-    gamma, _ = gl.lift_finite_index(group.dual(), f_perp, fhat,
-                                    lam=gl.annihilator(lam), tol=tol)
-    return gl.inverse_fourier_transform(gamma)
-
-
-def gram_defect_of_vectors(group, vectors):
-    V = np.array(vectors).T
-    gram = float(group.weight) * (V.conj().T @ V)
-    return float(np.max(np.abs(gram - np.eye(V.shape[1]))))
-
-
-def lift_defect_by_elements(group, sub, values, lam):
-    """Oracle: identity defect of the system on ``sub`` over lam x
-    (lam_perp modulo sub_perp), one element and one character at a time."""
-    ann_sub = gl.annihilator(sub)
-    taken, char_reps = set(), []
-    for ch in gl.annihilator(lam).elements:
-        if ch.index in taken:
-            continue
-        char_reps.append(ch)
-        taken.update((ch + s).index for s in ann_sub.elements)
-    pos = {e.coords: i for i, e in enumerate(sub.elements)}
-    vectors = []
-    for lam_el in lam.elements:
-        for ch in char_reps:
-            vec = np.zeros(sub.order, dtype=np.complex128)
-            for i, t in enumerate(sub.elements):
-                e, N = pairing_exponent(ch, t)
-                vec[i] = np.exp(2j * np.pi * (e / N)) * values[pos[(t - lam_el).coords]]
-            vectors.append(vec)
-    return gram_defect_of_vectors(group, vectors)
-
-
-def quotient_defect_by_elements(group, finite_sub, lam, quot_vals):
-    """Oracle: identity defect of the quotient system over p(lam) x
-    p(lam)_perp on G/F, one coset and one character at a time."""
-    reps = gl.coset_transversal(group, finite_sub)
-    coset_pos = {(rep + s).coords: i for i, rep in enumerate(reps) for s in finite_sub.elements}
-    lam_reps, covered = [], set()
-    for el in lam.elements:
-        if el.coords in covered:
-            continue
-        lam_reps.append(el)
-        covered.update((el + s).coords for s in finite_sub.elements)
-    vectors = []
-    for lam_el in lam_reps:
-        for ch in gl.annihilator(lam).elements:
-            vec = np.zeros(len(reps), dtype=np.complex128)
-            for i, rep in enumerate(reps):
-                e, N = pairing_exponent(ch, rep)
-                vec[i] = np.exp(2j * np.pi * (e / N)) * quot_vals[coset_pos[(rep - lam_el).coords]]
-            vectors.append(vec)
-    return gram_defect_of_vectors(group, vectors)
-
-
-def janssen_by_scatter_loop(g, h, delta):
-    """Oracle: one scatter of a shifted character column per adjoint point."""
-    card = g.group.cardinality
-    CHI, ADD = char_table(g.group.orders), add_index_table(g.group.orders)
-    adj = gl.adjoint_lattice(delta)
-    cols = np.arange(card)
-    J = np.zeros((card, card), dtype=np.complex128)
-    for x_idx, w_idx, c in zip(adj.x_indices, adj.w_indices, _adjoint_coefficients(h, g, adj)):
-        rows = ADD[cols, x_idx]
-        J[rows, cols] += c * CHI[w_idx, rows]
-    return J / float(delta.volume)
-
-
-def stft_by_dense_product(f, g):
-    """Oracle: the sum over t as a product with the character table."""
-    orders = f.group.orders
-    M = f.values[:, None] * np.conj(g.values[sub_index_table(orders)])
-    return (np.conj(char_table(orders)) @ M).T * float(f.group.weight)
 
 
 def assert_verdict_flips_at(call, defect, message):
@@ -688,13 +523,6 @@ class TestWexlerRaz:
 
 
 class TestAdjointCoefficients:
-    def test_matches_shift_oracle(self):
-        for g, h, delta in seeded_janssen_instances(20, seed=23, max_card=36):
-            adj = gl.adjoint_lattice(delta)
-            fast = _adjoint_coefficients(g, h, adj)
-            assert fast.shape == (adj.order,)
-            assert np.max(np.abs(fast - coefficients_by_shifts(g, h, adj))) <= 1e-12
-
     def test_weighted_group(self):
         G = FiniteLcaGroup((2, 4), Fraction(1, 5))
         rng = rng_for(24)
@@ -1021,7 +849,7 @@ class TestIndexArithmeticOracles:
             cases.append((G, F, lam, rng.standard_normal(m) + 1j * rng.standard_normal(m), np.inf))
         for G, F, lam, vals, tol in cases:
             pushed, _ = gl.push_finite_subgroup(G, F, lam, vals, tol=tol)
-            slow = push_by_characters(G, F, lam, vals, tol)
+            slow = push_by_characters(G, F, lam, vals)
             assert np.max(np.abs(pushed.values - slow.values)) <= 1e-12
 
     def test_quotient_gram_check_matches_element_oracle(self):
@@ -1037,45 +865,6 @@ class TestIndexArithmeticOracles:
             assert_verdict_flips_at(
                 lambda tol: gl.push_finite_subgroup(G, F, lam, vals, tol=tol), defect,
                 "quotient window is not an ONB generator")
-
-
-class TestFftRouteOracles:
-    """The FFT kernels against the per-point and dense routes they replaced."""
-
-    def test_janssen_matches_scatter_loop(self):
-        cases = list(seeded_janssen_instances(30, seed=46, max_card=36))
-        rng = rng_for(47)
-        for orders, weight in [((6,), Fraction(1, 3)), ((2, 4), Fraction(5, 2)),
-                               ((3, 3), Fraction(1, 9)), ((2, 2, 2), 1)]:
-            G = FiniteLcaGroup(orders, weight)
-            g, h = gl.random_window(G, rng), gl.random_window(G, rng)
-            for delta in (random_plane_lattice(G, rng), TfLattice.full_plane(G),
-                          TfLattice.time_axis(G)):
-                cases.append((g, h, delta))
-        assert any(g.group.rank == 2 for g, _, _ in cases)
-        for g, h, delta in cases:
-            fast = gl.janssen_operator(g, h, delta)
-            assert np.max(np.abs(fast - janssen_by_scatter_loop(g, h, delta))) <= 1e-12
-
-    def test_stft_matches_dense_product_at_256_points(self):
-        rng = rng_for(48)
-        for G in (Z(256), Z(16, 16), FiniteLcaGroup((4, 64), Fraction(1, 8))):
-            f, g = gl.random_window(G, rng), gl.random_window(G, rng)
-            assert np.max(np.abs(gl.stft(f, g) - stft_by_dense_product(f, g))) <= 1e-12
-
-
-def frame_operator_by_columns(g, h, delta):
-    """Oracle: S = weight * Q P^H, the sum over Delta of the columns
-    P[:, z] = pi(z) g and Q[:, z] = pi(z) h."""
-    P = _system_columns(g, *delta._split_indices)
-    Q = P if h is g else _system_columns(h, *delta._split_indices)
-    return float(g.group.weight) * (Q @ P.conj().T)
-
-
-def symmetrized_delta_side(g, delta):
-    """Oracle: the dense sum over Delta, symmetrized for eigvalsh and solve."""
-    S = frame_operator_by_columns(g, g, delta)
-    return 0.5 * (S + S.conj().T)
 
 
 def seeded_lattices_by_volume(seed, volumes, per_volume, max_card=64):

@@ -1,8 +1,6 @@
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,256 +14,32 @@ from gabor_lca.groups import (
     FiniteLcaGroup,
     GroupShapeError,
     Subgroup,
-    _coset_leaders,
     _coset_minima,
     _index_sum,
-    _mask,
-    _multiples,
     add_index_table,
-    coords_matrix,
-    pair_exponent_table,
     parse_coord_tuples,
 )
-
-
-def naive_closure(group, gens):
-    """Independent oracle: grow a set until closed under + and negation."""
-    elems = {group.zero().coords}
-    changed = True
-    while changed:
-        changed = False
-        current = [group.element(c) for c in elems]
-        for a in current:
-            for b in list(gens) + current:
-                for cand in (a + b, a - b):
-                    if cand.coords not in elems:
-                        elems.add(cand.coords)
-                        changed = True
-    return elems
-
-
-def annihilator_full_scan(sub):
-    """Oracle: every character of G tested against every element of ``sub``."""
-    group = sub.group
-    N = group.exponent
-    C = coords_matrix(group.orders)
-    scale = np.array([N // n for n in group.orders], dtype=np.int64)
-    E = C @ (C[sub.index_array] * scale).T % N
-    hits = np.nonzero(~E.any(axis=1))[0]
-    dual = group.dual()
-    return Subgroup.from_elements(dual, [dual.element_by_index(int(i)) for i in hits])
-
-
-def annihilator_by_from_indices(sub):
-    """Oracle: the characters whose pairing-table row vanishes on ``sub``,
-    handed to ``from_indices`` in descending order."""
-    E = pair_exponent_table(sub.group.orders)
-    hits = np.flatnonzero(~E[:, sub.index_array].any(axis=1))
-    return Subgroup.from_indices(sub.group.dual(), hits[::-1])
-
-
-def assert_kernel_matches(sub, oracle):
-    """A kernel-built subgroup equals its ``from_indices`` oracle exactly: the
-    same sorted, unique index array, and the same greedy generators, which it
-    recovers only when they are read."""
-    assert "generators" not in vars(sub)
-    assert sub.group == oracle.group
-    assert np.all(np.diff(sub.index_array) > 0)
-    assert np.array_equal(sub.index_array, oracle.index_array)
-    assert sub.generators == oracle.generators
-
-
-def _close(orders, mask, multiples):
-    """Oracle closure: membership mask of <H, x>, for the subgroup H with
-    membership ``mask`` and the ``_multiples`` row of x.
-
-    <H, x> is the union of the cosets k*x + H for k below the order m of x
-    modulo H, so it is one sum of H's indices with the first m multiples.
-    """
-    m = 1 + int(np.argmax(mask[multiples[1:]]))
-    out = np.zeros_like(mask)
-    out[_index_sum(orders, np.flatnonzero(mask)[:, None], multiples[:m])] = True
-    return out
-
-
-def count_closures(monkeypatch):
-    """Route every ``_close`` call through a counter; returns it.  ``src/``
-    grows subgroups only by ``groups._joined_minima``, so only the oracles
-    of this module can add to the count."""
-    calls = [0]
-    close = _close
-
-    def counted(*args):
-        calls[0] += 1
-        return close(*args)
-
-    monkeypatch.setitem(globals(), "_close", counted)
-    return calls
-
-
-def pairing_exponent_by_coords(omega, x):
-    """Oracle: the exact pairing exponent summed one coordinate at a time."""
-    N = omega.group.exponent
-    e = 0
-    for w, c, n in zip(omega.coords, x.coords, omega.group.orders):
-        e += w * c * (N // n)
-    return e % N, N
-
-
-def closure_by_elements(group, generators):
-    """Oracle: close a generating set one GroupElement at a time."""
-    members = {group.zero().coords}
-    elems = [group.zero()]
-    for gen in generators:
-        if gen.coords in members:
-            continue
-        base = list(elems)
-        step = gen
-        while step.coords not in members:
-            shifted = [e + step for e in base]
-            members.update(e.coords for e in shifted)
-            elems.extend(shifted)
-            step = step + gen
-    return elems
-
-
-def from_elements_by_closure(group, elements):
-    """Oracle for ``Subgroup.from_indices``: greedy generators in ascending
-    index order, re-closing the element list after each one.
-
-    Returns (generators, sorted elements) as coordinate tuples.
-    """
-    elems = sorted(elements, key=lambda e: e.index)
-    gens = []
-    have = {group.zero().coords}
-    for e in elems:
-        if e.coords in have:
-            continue
-        gens.append(e)
-        have = {m.coords for m in closure_by_elements(group, gens)}
-    if have != {e.coords for e in elems}:
-        raise ValueError("element list is not closed under the group operation")
-    return [g.coords for g in gens], [e.coords for e in elems]
-
-
-def all_subgroups_by_add_table(group):
-    """Oracle for ``all_subgroups``: close index sets under single extra
-    elements through the ADD table, trying every element outside each one."""
-    ADD = add_index_table(group.orders)
-    trivial = frozenset({0})
-    seen = {trivial}
-    queue = [trivial]
-    while queue:
-        H = queue.pop()
-        for x in range(1, group.cardinality):
-            if x in H:
-                continue
-            base = np.fromiter(H, dtype=np.int64)
-            closed = set(H)
-            y = x
-            while y not in H:
-                closed.update(int(i) for i in ADD[base, y])
-                y = int(ADD[y, x])
-            closed = frozenset(closed)
-            if closed not in seen:
-                seen.add(closed)
-                queue.append(closed)
-    out = []
-    for member_set in sorted(seen, key=lambda s: (len(s), sorted(s))):
-        elems = [group.element_by_index(i) for i in sorted(member_set)]
-        out.append(from_elements_by_closure(group, elems))
-    return out
-
-
-def all_subgroups_by_closure(group):
-    """Oracle for ``all_subgroups``: the walk it replaced, which closes <H, x>
-    for every coset leader x > g_i of each H = <g_1..g_i> and keeps it when
-    no point of it outside H is below x.  It looks ``_close`` up when it
-    runs, so ``count_closures`` counts its closures."""
-    orders, card = group.orders, group.cardinality
-    trivial = _mask(card, 0)
-    found, stack = [], [(Subgroup(group, (), np.flatnonzero(trivial)), trivial)]
-    multiples = lru_cache(maxsize=None)(lambda x: _multiples(orders, x))  # once per walk
-    while stack:
-        H, mask = stack.pop()
-        found.append(H)
-        start = H.generators[-1].index + 1 if H.generators else 1
-        for x in _coset_leaders(H, np.arange(start, card)).tolist():
-            closed = _close(orders, mask, multiples(x))
-            if np.array_equal(closed[:x], mask[:x]):
-                gens = H.generators + (group.element_by_index(x),)
-                stack.append((Subgroup(group, gens, np.flatnonzero(closed)), closed))
-    return sorted(found, key=lambda H: (H.order, H.index_array.tolist()))
+from oracles import (
+    all_subgroups_by_add_table,
+    all_subgroups_by_closure,
+    annihilator_by_from_indices,
+    annihilator_full_scan,
+    assert_kernel_matches,
+    birkhoff_delsarte_count,
+    closure_by_elements,
+    coset_minima_by_loop,
+    coset_minima_by_matrix,
+    count_closures,
+    from_elements_by_closure,
+    naive_closure,
+    pairing_exponent_by_coords,
+    shapes_up_to,
+)
 
 
 def walk_record(subs):
     """What a walk must reproduce exactly: list order, index arrays and generators."""
     return [(H.index_array.tolist(), [g.coords for g in H.generators]) for H in subs]
-
-
-def gaussian_binomial(n, k, p):
-    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
-    num = den = 1
-    for i in range(k):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
-
-
-def conjugate_partition(parts):
-    return [sum(1 for a in parts if a > i) for i in range(max(parts, default=0))]
-
-
-def birkhoff_delsarte_count(orders):
-    """Oracle for the number of subgroups, independent of any enumeration.
-
-    The count is the product over primes p of the counts of the Sylow
-    p-parts.  A p-group of type lambda has, for each type mu <= lambda,
-    prod_i p^(mu'_{i+1} (lambda'_i - mu'_i)) [lambda'_i - mu'_{i+1} choose
-    mu'_i - mu'_{i+1}]_p subgroups of type mu, where ' is the conjugate
-    partition (Butler, Mem. AMS 539, 1994).
-    """
-    sylow = {}
-    for n in orders:
-        p = 2
-        while n > 1:
-            e = 0
-            while n % p == 0:
-                n, e = n // p, e + 1
-            if e:
-                sylow.setdefault(p, []).append(e)
-            p += 1
-    total = 1
-    for p, lam in sylow.items():
-        lam = sorted(lam, reverse=True)
-        lam_c = conjugate_partition(lam)
-        count = 0
-        for mu in itertools.product(*(range(a + 1) for a in lam)):
-            if any(b > a for a, b in zip(mu, mu[1:])):
-                continue
-            mu_c = conjugate_partition(mu) + [0] * (len(lam_c) + 1)
-            term = 1
-            for i, l in enumerate(lam_c):
-                term *= p ** (mu_c[i + 1] * (l - mu_c[i])) * gaussian_binomial(
-                    l - mu_c[i + 1], mu_c[i] - mu_c[i + 1], p)
-            count += term
-        total *= count
-    return total
-
-
-def coset_minima_by_loop(sub, xs):
-    """Oracle: one index sum over the candidates per element of the subgroup."""
-    xs = np.asarray(xs, dtype=np.int64)
-    out = np.full(xs.shape, sub.group.cardinality, dtype=np.int64)
-    for h in sub.index_array:
-        np.minimum(out, _index_sum(sub.group.orders, xs, h), out=out)
-    return out
-
-
-def coset_minima_by_matrix(sub, xs):
-    """Oracle: the |xs| x |H| matrix of index sums x + h, minimised over h."""
-    xs = np.asarray(xs, dtype=np.int64)
-    return _index_sum(sub.group.orders, xs[..., None], sub.index_array).min(axis=-1)
 
 
 def assert_coset_minima_match(sub, xs):
@@ -277,19 +51,6 @@ def assert_coset_minima_match(sub, xs):
 
 def generators_and_elements(sub):
     return [g.coords for g in sub.generators], [e.coords for e in sub.elements]
-
-
-def shapes_up_to(max_card):
-    """Every Z/n_1 x ... x Z/n_k with 2 <= n_1 <= ... <= n_k and |G| <= max_card."""
-    def factorizations(n, least):
-        if n == 1:
-            yield ()
-            return
-        for f in range(least, n + 1):
-            if n % f == 0:
-                for rest in factorizations(n // f, f):
-                    yield (f,) + rest
-    return [(1,)] + [o for n in range(2, max_card + 1) for o in factorizations(n, 2)]
 
 
 small_groups = st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(

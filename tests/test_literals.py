@@ -1,11 +1,11 @@
 """The one bracketed-literal reader against the four readers it replaced, and
 round trips of the CLI grammars.
 
-The replaced readers are kept below unchanged as oracles.  Where an oracle
-reads a literal whole, the new reader must return the same value; where the
-oracle leaves text unread (junk between items, a missing or extra separator,
-a doubled bracket) or drops a blank entry, the new reader must refuse; and
-where the oracle refuses, so must the new reader.
+The replaced readers are kept unchanged as oracles in ``oracles.py``.  Where
+an oracle reads a literal whole, the new reader must return the same value;
+where the oracle leaves text unread (junk between items, a missing or extra
+separator, a doubled bracket) or drops a blank entry, the new reader must
+refuse; and where the oracle refuses, so must the new reader.
 """
 
 import re
@@ -16,13 +16,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gabor_lca import adeles, cli, gabor
+from gabor_lca import cli
 from gabor_lca.adeles import (
     AdeleAutomorphism,
     AdeleLattice,
     PlaceSet,
     _parse_matrix_literal,
-    _parse_rational,
     format_automorphism_document,
     lattice_equality,
     parse_automorphism_document,
@@ -36,7 +35,7 @@ from gabor_lca.groups import (
     parse_subgroup_spec,
 )
 from gabor_lca.padic import RationalMatrix
-from test_cli import (
+from oracles import (
     AUTO,
     AUTO_REBASED,
     FUZZ_DOCUMENTS,
@@ -44,119 +43,12 @@ from test_cli import (
     FUZZ_SUBGROUPS,
     FUZZ_VECTORS,
     FUZZ_WINDOWS,
+    parse_adele_vector_by_strip,
+    parse_coord_tuples_by_findall,
+    parse_matrix_literal_by_rows,
+    parse_plane_gens_by_groups,
+    top_level_groups,
 )
-
-# --- the replaced readers -----------------------------------------------------
-
-
-def parse_coord_tuples_by_findall(text: str, cast=int) -> list[tuple]:
-    body = text.strip()
-    if body.startswith("gens="):
-        body = body[len("gens="):]
-    tuples = re.findall(r"\(([^()]*)\)", body)
-    if tuples:
-        out = []
-        for t in tuples:
-            items = [s for s in t.split(",") if s.strip() != ""]
-            out.append(tuple(cast(s) for s in items))
-        return out
-    if body == "":
-        return []
-    return [(cast(s),) for s in body.split(",")]
-
-
-def _top_level_groups(body: str) -> list[str]:
-    groups = []
-    depth = 0
-    start = end = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            if depth == 0:
-                gap = body[end:i].strip()
-                if gap and not (groups and gap in (";", "x")):
-                    raise ValueError(f"unexpected {gap!r} in plane generators {body!r}")
-                start = i
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {body!r}")
-            if depth == 0:
-                groups.append(body[start:i + 1])
-                end = i + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {body!r}")
-    if not groups:
-        raise ValueError(f"expected plane generators such as ((1),(0)), got {body!r}")
-    if body[end:].strip():
-        raise ValueError(f"unexpected {body[end:].strip()!r} in plane generators {body!r}")
-    return groups
-
-
-def parse_plane_gens_by_groups(group: FiniteLcaGroup, text: str) -> gabor.TfLattice:
-    """The 'plane-gens=' branch of the replaced lattice reader."""
-    if not text.strip().startswith("plane-gens="):
-        raise ValueError(f"unknown lattice literal {text!r}")
-    body = text.strip()[len("plane-gens="):].strip()
-    if body == "(())":
-        return gabor.TfLattice.from_plane_generators(group, [])
-    k = group.rank
-    generators = []
-    for token in _top_level_groups(body):
-        inner = token[1:-1].strip()
-        tuples = parse_coord_tuples_by_findall(inner)
-        if len(tuples) == 2:
-            x, w = tuples
-        elif len(tuples) == 1 and len(tuples[0]) == 2 * k:
-            x, w = tuples[0][:k], tuples[0][k:]
-        elif not tuples:
-            flat = tuple(int(v) for v in inner.split(",") if v.strip() != "")
-            if len(flat) != 2 * k:
-                raise ValueError(f"plane generator needs {2 * k} coordinates: {token!r}")
-            x, w = flat[:k], flat[k:]
-        else:
-            raise ValueError(f"cannot read plane generator {token!r}")
-        if len(x) != k or len(w) != k:
-            raise ValueError(f"plane generator needs {k}+{k} coordinates: {token!r}")
-        generators.append((tuple(x), tuple(w)))
-    return gabor.TfLattice.from_plane_generators(group, generators)
-
-
-def parse_adele_vector_by_strip(place_set, text):
-    body = text.strip()
-    if body.startswith("diag="):
-        values = [adeles._parse_rational(v)
-                  for v in body[len("diag="):].strip().strip("()").split(",")]
-        return adeles.AdeleVector.diagonal(place_set, values)
-    comps = {}
-    seen = set()
-    for item in body.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in ("inf", "default"):
-            key = int(key)
-        adeles._refuse_repeated(key, seen)
-        comps[key] = [adeles._parse_rational(v) for v in value.strip().strip("()").split(",")]
-    inf = comps.pop("inf", None)
-    default = comps.pop("default", None)
-    if inf is None:
-        raise ValueError("adele vector needs an inf=(...) component")
-    return adeles.AdeleVector.create(place_set, inf, comps, default=default)
-
-
-def parse_matrix_literal_by_rows(text: str) -> RationalMatrix:
-    body = text.strip()
-    if not (body.startswith("[[") and body.endswith("]]")):
-        raise ValueError(f"matrix literal must look like [[..],[..]]: {text!r}")
-    rows = re.findall(r"\[([^\[\]]*)\]", body)
-    parsed = []
-    for row in rows:
-        parsed.append([_parse_rational(v) for v in row.split(",") if v.strip() != ""])
-    return RationalMatrix.from_rows(parsed)
-
 
 # --- where each replaced reader reads a literal whole -------------------------
 
@@ -185,7 +77,7 @@ def groups_reads_whole(text: str) -> bool:
     if body == "(())":
         return True
     try:
-        tokens = _top_level_groups(body)
+        tokens = top_level_groups(body)
     except ValueError:
         return True  # refused by the oracle
     skeleton = body

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import gabor_lca as gl
 from gabor_lca.padic import (
     NotPrimeError,
-    PadicScalar,
     Place,
     RationalMatrix,
     SingularMatrixError,
 )
+from oracles import det_by_forward_elimination, inverse_by_gauss_jordan, seeded_matrices
 
 primes = st.sampled_from([2, 3, 5, 7, 11, 13])
 # prime factors must stay below the certification bound, so bound the
@@ -47,6 +47,11 @@ class TestValuation:
         with pytest.raises(NotPrimeError):
             gl.valuation(12, 6)
 
+    def test_zero_sentinel(self):
+        for p in (2, 3, 5):
+            assert gl.valuation(Fraction(0), p) == math.inf
+            assert gl.padic_abs(Fraction(0), p) == 0
+
     @settings(max_examples=80, deadline=None)
     @given(nonzero_rationals, primes)
     def test_defining_factorization(self, q, p):
@@ -61,6 +66,11 @@ class TestPadicAbs:
         assert gl.padic_abs(12, 2) == Fraction(1, 4)
         assert gl.padic_abs(Fraction(1, 6), 3) == 3
         assert gl.padic_abs(0, 7) == 0
+
+    def test_integral_and_non_integral_in_q3(self):
+        assert gl.valuation(Fraction(9, 2), 3) == 2
+        assert gl.padic_abs(Fraction(9, 2), 3) == Fraction(1, 9)
+        assert gl.valuation(Fraction(1, 3), 3) < 0
 
     @settings(max_examples=80, deadline=None)
     @given(nonzero_rationals, nonzero_rationals, primes)
@@ -93,17 +103,6 @@ class TestPadicAbs:
         assert product == 1
 
 
-class TestPadicScalar:
-    def test_basics(self):
-        s = PadicScalar(Fraction(9, 2), 3)
-        assert s.valuation() == 2
-        assert s.abs_value() == Fraction(1, 9)
-        assert not PadicScalar(Fraction(1, 3), 3).is_integral()
-
-    def test_zero_sentinel(self):
-        assert PadicScalar(Fraction(0), 5).valuation() == math.inf
-
-
 class TestRationalMatrix:
     def test_det_and_inverse_exact(self):
         A = RationalMatrix.from_rows([[1, 2], [3, "5/2"]])
@@ -120,70 +119,6 @@ class TestRationalMatrix:
         assert A.det == 0
         with pytest.raises(SingularMatrixError):
             A.inverse()
-
-
-def det_by_forward_elimination(A):
-    """Oracle: the determinant by its own forward-elimination pass."""
-    n = A.n_rows
-    m = [list(row) for row in A.entries]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
-
-
-def inverse_by_gauss_jordan(A):
-    """Oracle: the inverse by Gauss-Jordan on [A | I]."""
-    n = A.n_rows
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A.entries)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r == col or m[r][col] == 0:
-                continue
-            factor = m[r][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return RationalMatrix.from_rows([row[n:] for row in m])
-
-
-def seeded_matrices(seed, count):
-    """Rational matrices with n <= 8: dense ones, ones whose leading column
-    starts with zeros (row swaps), and singular ones (a repeated combination)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        n = int(rng.integers(1, 9))
-        rows = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 4))) for _ in range(n)]
-                for _ in range(n)]
-        kind = k % 3
-        if kind == 1 and n > 1:
-            for r in range(int(rng.integers(1, n))):
-                rows[r][0] = Fraction(0)
-        elif kind == 2 and n > 1:
-            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-            c = Fraction(int(rng.integers(-3, 4)), 2)
-            rows[j] = [c * v for v in rows[i]]
-        out.append(RationalMatrix.from_rows(rows))
-    return out
 
 
 class TestEliminationOracles:

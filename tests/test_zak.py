@@ -4,26 +4,9 @@ import pytest
 import gabor_lca as gl
 from gabor_lca.experiments import periodized_gaussian, seeded_zak_instances
 from gabor_lca.gabor import TfLattice
-from gabor_lca.groups import FiniteLcaGroup, GroupShapeError, add_index_table, char_table
+from gabor_lca.groups import FiniteLcaGroup, GroupShapeError
 from gabor_lca.zak import ZakGrid
-
-
-def Z(n):
-    return FiniteLcaGroup((n,))
-
-
-def quasiperiodicity_full_scan(grid):
-    """Oracle: every pair (l, t) of lam x lam_perp, each gathering a full plane."""
-    orders = grid.window_group.orders
-    ADD, CHI = add_index_table(orders), char_table(orders)
-    F = grid.values
-    residual = 0.0
-    for l in grid.lattice.index_array:
-        factor = np.conj(CHI[:, l])[None, :]  # conj(<w, l>) per column w
-        for t in gl.annihilator(grid.lattice).index_array:
-            shifted = F[np.ix_(ADD[:, l], ADD[:, t])]
-            residual = max(residual, float(np.max(np.abs(shifted - factor * F))))
-    return residual
+from oracles import Z, quasiperiodicity_full_scan
 
 
 class TestZakTransform:
