@@ -454,8 +454,9 @@ def deformation_margin(lattice: AdeleLattice) -> float:
 
     For a lattice of volume v <= 1 in the 2n-dimensional plane the margin is
     (1/v)^(1/(2n)) - 1; it vanishes exactly at critical volume, which is the
-    arithmetic engine of the Balian-Low argument.  A margin past the float
-    range raises ``ValueError``.
+    arithmetic engine of the Balian-Low argument.  It is taken as
+    expm1(log1p(x) / 2n) with x = 1/v - 1 exact, so a volume next to 1 keeps
+    its digits.  A margin past the float range raises ``ValueError``.
     """
     if lattice.dim % 2 != 0:
         raise ValueError("deformation margin needs a lattice in a 2n-dimensional plane")
@@ -465,8 +466,8 @@ def deformation_margin(lattice: AdeleLattice) -> float:
     if vol == 1:
         return 0.0
     inverse = 1 / Fraction(vol)
-    if inverse <= sys.float_info.max:
-        return float(inverse) ** (1.0 / lattice.dim) - 1.0
+    if (excess := inverse - 1) <= sys.float_info.max:
+        return math.expm1(math.log1p(float(excess)) / lattice.dim)
     # 1/v is past the float range: take the root in logarithms of its integers
     log_root = (math.log(inverse.numerator) - math.log(inverse.denominator)) / lattice.dim
     if log_root > math.log(sys.float_info.max):

@@ -190,13 +190,14 @@ class TfLattice:
     @cached_property
     def _walnut(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         """Walnut's blocks of S: one point (x, w_x) per time x, |Gamma_0| for
-        Gamma_0 = Delta & ({0} x G^), and the cosets of Gamma_0_perp as rows."""
-        base, (x_idx, w_idx) = self.base_group, self._split_indices
+        Gamma_0 = Delta & ({0} x G^), and the cosets of Gamma_0_perp as rows
+        (leaders ascending): the level sets of the pairings with Gamma_0, each
+        listed ascending by a stable sort, Gamma_0_perp (all pairings 0) first."""
+        orders, (x_idx, w_idx) = self.base_group.orders, self._split_indices
         first = np.flatnonzero(np.diff(x_idx, prepend=-1))  # x_idx is sorted
-        gamma0 = w_idx[x_idx == 0]
-        perp = Subgroup._kernel(base, _annihilated(base.orders, coords_matrix(base.orders)[gamma0]))
-        leaders = _coset_leaders(perp, np.arange(base.cardinality))
-        rows = _index_sum(base.orders, leaders[:, None], perp.index_array)
+        C, gamma0 = coords_matrix(orders), w_idx[x_idx == 0]
+        cosets = np.lexsort(_pair_exponents(orders, C[gamma0], C)[0]).reshape(len(gamma0), -1)
+        rows = _index_sum(orders, np.sort(cosets[:, 0])[:, None], cosets[0])
         return x_idx[first], w_idx[first], len(gamma0), rows
 
     @property
@@ -580,27 +581,25 @@ def finite_transference_check(g: Window, h: Window, delta1: TfLattice,
     delta1 x (K x K_perp), the biorthogonality <g~, pi(z) h~> =
     vol(delta1) * [base part of z is 0] holds across the product adjoint.
     The indicator inner products collapse the product condition onto the base
-    one, so the two verdicts agree.  The base side is ``frame_operator``,
-    scattered from its Walnut blocks; the product side is the independent
-    adjoint-coefficient route.
+    one, so the two verdicts agree.  The base side is the identity defect of
+    the Walnut blocks of S_{g,h}, which is zero off them; the product side is
+    the independent adjoint-coefficient route.
     """
     _check_system(delta1, g, h)
     _, K, K_perp = compact_open_surrogate(M, d)
     one_k = indicator_window(K)
 
-    base_residual = _identity_defect(frame_operator(g, h, delta1))
+    base_residual = _identity_defect(_walnut_products(g, h, delta1)[1])
     base_ok = base_residual <= tol
 
-    surrogate = TfLattice.separable(K, K_perp)
-    product_lattice = _product_lattice(delta1, surrogate)
-    product = product_lattice.base_group
+    # Adjoints multiply (Jakobsen-Lemvig), and K x K_perp is its own: (K_perp)_perp = K.
+    adj = _product_lattice(delta1.adjoint, TfLattice.separable(K, K_perp))
+    product = adj.base_group
     g_t = Window(product, np.kron(g.values, one_k.values))
     h_t = Window(product, np.kron(h.values, one_k.values))
     vol = delta1.volume
-    assert product_lattice.volume == vol
+    assert adj.volume * vol == 1
 
-    # The commutation form of a product is the product of the forms (Jakobsen-Lemvig).
-    adj = _product_lattice(delta1.adjoint, surrogate.adjoint)
     # index = base index * M + surrogate index on each side of the product plane
     base_part_zero = (adj.x_indices < M) & (adj.w_indices < M)
     target = np.where(base_part_zero, float(vol), 0.0)

@@ -355,34 +355,43 @@ class Subgroup:
 
     ``generators`` always generates the subgroup: ``enumerate_subgroup``
     keeps the ones it was given, and ``all_subgroups`` and ``from_indices``
-    give the greedy ones; every one of them grows by ``_joined_minima``.
-    Kernel-built subgroups (``annihilator``, adjoint, separable and product
-    lattices) are closed by construction and recover the greedy generators
-    on first read.  ``annihilator`` and
+    give the greedy ones; every one of them grows by ``_joined_minima`` and
+    hands over the coset minima it grew.  Kernel-built subgroups
+    (``annihilator``, adjoint, separable and product lattices) are closed by
+    construction; the first read of ``generators`` or ``_minima`` runs one
+    greedy walk, which serves both.  ``annihilator`` and
     ``adjoint_lattice`` test membership against the generators only.
     """
 
     group: FiniteLcaGroup
     known_generators: InitVar[tuple[GroupElement, ...] | None]
     index_array: np.ndarray
+    known_minima: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, known_generators):
+    def __post_init__(self, known_generators, known_minima):
         self.index_array.setflags(write=False)
         if known_generators is not None:
             self.__dict__["generators"] = known_generators
+        if known_minima is not None:
+            known_minima.setflags(write=False)
+            self.__dict__["_minima"] = known_minima
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[GroupElement, ...], np.ndarray]:
+        """``_greedy_generators`` of the indices, run once for both properties."""
+        gens, cm = _greedy_generators(self.group, self.index_array)
+        cm.setflags(write=False)
+        return gens, cm
 
     @cached_property
     def generators(self) -> tuple[GroupElement, ...]:
         """The greedy generators of ``from_indices``, recovered on first read."""
-        return _greedy_generators(self.group, self.index_array)[0]
+        return self._walk[0]
 
     @cached_property
     def _minima(self) -> np.ndarray:
-        """cm[y], the smallest index of y + self (read-only), from the greedy loop;
-        ``generators`` stays unread until asked for."""
-        cm = _greedy_generators(self.group, self.index_array)[1]
-        cm.setflags(write=False)
-        return cm
+        """cm[y], the smallest index of y + self (read-only)."""
+        return self._walk[1]
 
     def __repr__(self) -> str:
         gens = self.__dict__.get("generators")  # reading the property would recover them
@@ -440,7 +449,7 @@ class Subgroup:
         gens, cm = _greedy_generators(group, points)
         if not np.array_equal(np.flatnonzero(cm == 0), points):
             raise ValueError("element list is not closed under the group operation")
-        return cls(group, gens, points)
+        return cls(group, gens, points, cm)
 
     @classmethod
     def _kernel(cls, group: FiniteLcaGroup, indices) -> "Subgroup":
@@ -465,7 +474,7 @@ def enumerate_subgroup(group: FiniteLcaGroup,
     for g in gens:
         if cm[g.index]:
             cm = _joined_minima(group.orders, cm, _multiples(group.orders, g.index))
-    return Subgroup(group, gens, np.flatnonzero(cm == 0))
+    return Subgroup(group, gens, np.flatnonzero(cm == 0), cm)
 
 
 def trivial_subgroup(group: FiniteLcaGroup) -> Subgroup:
@@ -531,10 +540,10 @@ def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
     """
     _check_table_size(group.orders)
     orders, card, every = group.orders, group.cardinality, np.arange(group.cardinality)
-    found, stack = [], [(Subgroup(group, (), every[:1]), every)]
+    found, stack = [], [Subgroup(group, (), every[:1], every)]
     while stack:
-        H, cm = stack.pop()  # cm[y] is the smallest index of the coset y + H
-        found.append(H)
+        found.append(H := stack.pop())
+        cm = H._minima  # cm[y] is the smallest index of the coset y + H
         start = H.generators[-1].index + 1 if H.generators else 1
         leaders = np.flatnonzero(cm[start:] == every[start:]) + start
         outside = np.where(cm == 0, card, cm)  # H's own coset, set to |G|, rejects no leader
@@ -545,7 +554,7 @@ def all_subgroups(group: FiniteLcaGroup) -> list[Subgroup]:
             for x, kx in zip(xs[keep].tolist(), mult[keep]):
                 cm_x = _joined_minima(orders, cm, kx)
                 gens = H.generators + (group.element_by_index(x),)
-                stack.append((Subgroup(group, gens, np.flatnonzero(cm_x == 0)), cm_x))
+                stack.append(Subgroup(group, gens, np.flatnonzero(cm_x == 0), cm_x))
     return sorted(found, key=lambda H: (H.order, H.index_array.tolist()))
 
 

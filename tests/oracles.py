@@ -14,6 +14,7 @@ runs each row.  Checks that say more import their oracle from here.
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -23,11 +24,16 @@ import numpy as np
 import gabor_lca as gl
 from gabor_lca import adeles, gabor
 from gabor_lca.adeles import _parse_rational
-from gabor_lca.experiments import random_plane_lattice, seeded_janssen_instances
+from gabor_lca.experiments import (
+    random_plane_lattice,
+    seeded_frame_instances,
+    seeded_janssen_instances,
+)
 from gabor_lca.gabor import TfLattice, Window, compact_open_surrogate
 from gabor_lca.groups import (
     FiniteLcaGroup,
     Subgroup,
+    _annihilated,
     _coset_leaders,
     _index_sum,
     _mask,
@@ -70,6 +76,25 @@ def assert_kernel_matches(sub, oracle):
     assert np.all(np.diff(sub.index_array) > 0)
     assert np.array_equal(sub.index_array, oracle.index_array)
     assert sub.generators == oracle.generators
+
+
+def transference_grid():
+    """(g, h, delta1, M, d) of acceptance criterion 10: five window pairs on
+    each of Z2, Z3 and Z4 (seed 0) against every surrogate Z/M with d | M and
+    L * M <= 64."""
+    rng = np.random.default_rng(0)
+    for L in (2, 3, 4):
+        G = Z(L)
+        delta_time, delta_full = TfLattice.time_axis(G), TfLattice.full_plane(G)
+        d0 = gl.delta_window(G)
+        rand = gl.random_window(G, rng)
+        cases = [(d0, d0, delta_time), (d0, Window(G, np.zeros(L)), delta_time),
+                 (rand, gl.canonical_dual(rand, delta_time), delta_time),
+                 (d0, 1.0 / L * d0, delta_full), (d0, d0, delta_full)]
+        for M in range(2, 64 // L + 1):
+            for d in (d for d in range(1, M + 1) if M % d == 0):
+                for g, h, delta1 in cases:
+                    yield g, h, delta1, M, d
 
 
 def seeded_matrices(seed, count):
@@ -589,6 +614,19 @@ def frame_operator_by_columns(g, h, delta):
     return float(g.group.weight) * (Q @ P.conj().T)
 
 
+def walnut_by_walk(delta):
+    """Oracle for ``TfLattice._walnut``: Gamma_0_perp built as a kernel
+    subgroup, its coset leaders read from the minima of the greedy walk, and
+    each row leader + Gamma_0_perp."""
+    base, x_idx, w_idx = delta.base_group, delta.x_indices, delta.w_indices
+    first = np.flatnonzero(np.diff(x_idx, prepend=-1))
+    gamma0 = w_idx[x_idx == 0]
+    perp = Subgroup._kernel(base, _annihilated(base.orders, coords_matrix(base.orders)[gamma0]))
+    leaders = _coset_leaders(perp, np.arange(base.cardinality))
+    rows = _index_sum(base.orders, leaders[:, None], perp.index_array)
+    return x_idx[first], w_idx[first], len(gamma0), rows
+
+
 def symmetrized_delta_side(g, delta):
     """Oracle for the Walnut blocks behind ``gabor.frame_bounds`` and
     ``gabor.canonical_dual``: the dense sum over Delta, symmetrized for
@@ -666,7 +704,7 @@ def inverse_by_gauss_jordan(A):
 
 
 def transference_lattice_by_points(delta1, M, d):
-    """Oracle for the product lattice of ``gabor.finite_transference_check``:
+    """Oracle for ``gabor._product_lattice`` on the transference lattice
     delta1 x (K x K_perp) over the compact-open surrogate, point by point."""
     _, K, K_perp = compact_open_surrogate(M, d)
     return product_by_points(delta1, separable_by_points(K, K_perp))
@@ -903,6 +941,14 @@ def within(tol):
     return compare
 
 
+def exactly(fast, slow):
+    """Comparison of a row: equal tuples whose fields are equal arrays of one dtype."""
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def adjoint_coefficient_pool():
     """(g, h, adjoint) of the 20 seeded Janssen triples of seed 23."""
     return [(g, h, gl.adjoint_lattice(delta))
@@ -934,6 +980,17 @@ def stft_pool():
     return cases
 
 
+def walnut_pool():
+    """The 640 seeded frame lattices of seeds 0-3, and every plane subgroup of
+    nine small groups (2,415 lattices)."""
+    cases = [(delta,) for seed in range(4) for _, delta in seeded_frame_instances(160, seed)]
+    for orders in [(2,), (3,), (4,), (6,), (8,), (9,), (2, 2), (2, 4), (4, 4)]:
+        G = FiniteLcaGroup(orders)
+        cases += [(TfLattice(G, sub),) for sub in gl.all_subgroups(G.plane())]
+    assert len(cases) == 640 + 2415
+    return cases
+
+
 #: (route, oracle, pool, comparison): ``route(*args)`` and ``oracle(*args)``
 #: for every ``args`` of ``pool()`` must pass ``comparison(fast, slow)``.
 ROWS = [
@@ -941,4 +998,5 @@ ROWS = [
      within(1e-12)),
     (gabor.janssen_operator, janssen_by_scatter_loop, janssen_pool, within(1e-12)),
     (gabor.stft, stft_by_dense_product, stft_pool, within(1e-12)),
+    (operator.attrgetter("_walnut"), walnut_by_walk, walnut_pool, exactly),
 ]

@@ -16,10 +16,15 @@ from gabor_lca.adeles import (
     PlaceSet,
     finite_transference_check,
 )
-from gabor_lca.gabor import TfLattice, Window
+from gabor_lca.gabor import TfLattice
 from gabor_lca.groups import FiniteLcaGroup
 from gabor_lca.padic import RationalMatrix
-from oracles import base_side_by_vectors, product_side_by_plane_scan, shapes_up_to
+from oracles import (
+    base_side_by_vectors,
+    product_side_by_plane_scan,
+    shapes_up_to,
+    transference_grid,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -207,34 +212,13 @@ def test_criterion_09_padic_adelic_arithmetic():
 def test_criterion_10_transference_exhaustive():
     t0 = time.perf_counter()
     tol = 1e-9
-    rng = np.random.default_rng(0)
     instances = 0
-    for L in (2, 3, 4):
-        G = FiniteLcaGroup((L,))
-        delta_time = TfLattice.time_axis(G)
-        delta_full = TfLattice.full_plane(G)
-        d0 = gl.delta_window(G)
-        zero = Window(G, np.zeros(L))
-        rand = gl.random_window(G, rng)
-        rand_dual = gl.canonical_dual(rand, delta_time)
-        cases = [
-            (d0, d0, delta_time),
-            (d0, zero, delta_time),
-            (rand, rand_dual, delta_time),
-            (d0, 1.0 / L * d0, delta_full),
-            (d0, d0, delta_full),
-        ]
-        for M in range(2, 64 // L + 1):
-            for d in range(1, M + 1):
-                if M % d != 0:
-                    continue
-                for g, h, delta1 in cases:
-                    result = finite_transference_check(g, h, delta1, M, d, tol=tol)
-                    assert result.base_is_dual_pair == base_side_by_vectors(g, h, delta1, tol)
-                    assert result.product_is_dual_pair == product_side_by_plane_scan(
-                        g, h, delta1, M, d, tol)
-                    assert result.equivalent
-                    instances += 1
+    for g, h, delta1, M, d in transference_grid():
+        result = finite_transference_check(g, h, delta1, M, d, tol=tol)
+        assert result.base_is_dual_pair == base_side_by_vectors(g, h, delta1, tol)
+        assert result.product_is_dual_pair == product_side_by_plane_scan(g, h, delta1, M, d, tol)
+        assert result.equivalent
+        instances += 1
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
     report(10, ok, f"transference verdicts match the independent full-plane brute force "

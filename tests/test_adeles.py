@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import gabor_lca as gl
-from gabor_lca import adeles
+from gabor_lca import adeles, gabor
 from gabor_lca.adeles import (
     AdeleAutomorphism,
     AdeleLattice,
@@ -21,12 +23,19 @@ from gabor_lca.adeles import (
     parse_automorphism_document,
 )
 from gabor_lca.experiments import random_plane_lattice
-from gabor_lca.gabor import TfLattice, Window, _adjoint_coefficients, _product_lattice
+from gabor_lca.gabor import (
+    TfLattice,
+    Window,
+    _adjoint_coefficients,
+    _identity_defect,
+    _product_lattice,
+)
 from gabor_lca.groups import FiniteLcaGroup, coords_matrix
 from gabor_lca.padic import RationalMatrix
 from oracles import (
     lattice_equality_by_inverse,
     product_residual_by_shifts,
+    transference_grid,
     transference_lattice_by_points,
 )
 
@@ -455,6 +464,21 @@ class TestDeformationMargin:
             else:
                 assert adeles.deformation_margin(lattice) == pytest.approx(margin, rel=1e-12)
 
+    def test_volume_next_to_critical_keeps_its_digits(self):
+        """v = 1 - 10^-k for k = 1..20 against a 50-digit decimal reference."""
+        S = PlaceSet(())
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for dim in (2, 4):
+                for k in range(1, 21):
+                    v = 1 - Fraction(1, 10 ** k)
+                    rows = [[v if i == j == 0 else int(i == j) for j in range(dim)]
+                            for i in range(dim)]
+                    lattice = AdeleLattice(AdeleAutomorphism(S, rmat(rows)))
+                    exact = (-(1 - Decimal(10) ** -k).ln() / dim).exp() - 1
+                    assert adeles.deformation_margin(lattice) == pytest.approx(
+                        float(exact), rel=1e-12, abs=0), (dim, k)
+
 
 class TestCompactOpenSurrogate:
     def test_unit_ball_mass_one(self):
@@ -598,6 +622,35 @@ class TestTransferenceLattice:
             assert fast == slow and fast.base_group == slow.base_group
             assert fast.subgroup.generators == slow.subgroup.generators
             assert fast.volume == delta1.volume
+
+    def test_surrogate_lattice_is_its_own_adjoint(self):
+        """K x K_perp is self-adjoint, (K_perp)_perp = K, which lets the harness
+        take the product adjoint from delta1's adjoint and the surrogate itself."""
+        for M in range(1, 65):
+            for d in (d for d in range(1, M + 1) if M % d == 0):
+                _, K, K_perp = compact_open_surrogate(M, d)
+                surrogate = TfLattice.separable(K, K_perp)
+                assert gl.adjoint_lattice(surrogate) == surrogate, (M, d)
+
+    def test_harness_builds_no_dense_operator_and_scans_no_surrogate(self, monkeypatch):
+        """With delta1's adjoint read first, the harness runs neither the dense
+        frame operator nor an adjoint scan, and its base residual is bit for
+        bit the identity defect of the dense operator."""
+        grid = list(transference_grid())
+        dense = [_identity_defect(gl.frame_operator(g, h, delta1))
+                 for g, h, delta1, _, _ in grid]
+        for _, _, delta1, _, _ in grid:
+            delta1.adjoint
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense frame operator or adjoint scan in the harness")
+
+        monkeypatch.setattr(gabor, "frame_operator", refuse)
+        monkeypatch.setattr(gabor, "adjoint_lattice", refuse)
+        for case, defect in zip(grid, dense):
+            result = finite_transference_check(*case)
+            assert result.base_residual == defect
+            assert result.volume == case[2].volume
 
     def test_base_part_mask_reads_index_bounds(self):
         # Oracle: the coordinate slices of the product plane's points, where

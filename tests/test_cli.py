@@ -535,7 +535,7 @@ EXACT_RUNS = [
      'noncompact identity component; no well-localized frame exists over any lattice of '
      'volume 1", "real_dimension": 2, "spec": "A_Q{S=2,3; n=2}"}\n'),
     (["deform-margin", "--file", "auto.txt"], 0,
-     '{"dim": 2, "margin": 0.41421356237309515, "volume": "1/2"}\n'),
+     '{"dim": 2, "margin": 0.41421356237309503, "volume": "1/2"}\n'),
     (["padic-abs", "12", "4"], 2, ""),
     (["adele-member", "--file", "auto.txt", "--vector", "diag=(5/2)"], 2, ""),
 ]

@@ -408,6 +408,25 @@ class TestIndexCore:
                 assert_coset_minima_match(H, np.arange(card))
                 assert_coset_minima_match(gl.annihilator(H), np.arange(card))
 
+    def test_grown_subgroups_hand_over_their_minima(self, monkeypatch):
+        """``all_subgroups``, ``enumerate_subgroup`` and ``from_indices`` keep
+        the coset minima they grew, read-only, so a coset question runs no
+        greedy walk on their subgroups."""
+        built = []
+        for orders in shapes_up_to(16):
+            G = FiniteLcaGroup(orders)
+            for H in gl.all_subgroups(G):
+                built += [H, gl.enumerate_subgroup(G, H.generators[::-1]),
+                          Subgroup.from_indices(G, H.index_array[::-1])]
+
+        def refuse(*args):
+            raise AssertionError("greedy walk on a subgroup whose builder grew its minima")
+
+        monkeypatch.setattr("gabor_lca.groups._greedy_generators", refuse)
+        for H in built:
+            assert_coset_minima_match(H, np.arange(H.group.cardinality))
+            assert not H._minima.flags.writeable
+
     def test_coset_transversal_memory_is_linear_in_the_group(self):
         """Z4096 modulo <2>: the doubling holds a few |G|-sized arrays, where
         an |xs| x |H| index-sum matrix peaks at 134 MB."""
